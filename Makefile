@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml), so a green `make check bench-check` locally
 # predicts a green CI run.
 
-BENCH_PATTERN := BenchmarkCoolAirDecision$$|BenchmarkCoolAirDecisionBatch$$|BenchmarkCoolAirDecisionTraced$$|BenchmarkPredictWindow$$|BenchmarkTMYGeneration$$|BenchmarkSeriesAppend$$|BenchmarkSeriesCollectTick$$
+BENCH_PATTERN := BenchmarkCoolAirDecision$$|BenchmarkCoolAirDecisionTraced$$|BenchmarkPredictWindow$$|BenchmarkTMYGeneration$$|BenchmarkSeriesAppend$$|BenchmarkSeriesCollectTick$$
 BENCH_COUNT   := 5
 
 # The world-sweep throughput benchmark runs ~1 s/op, so it gets its own

@@ -274,23 +274,6 @@ func BenchmarkCoolAirDecisionTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkCoolAirDecisionBatch is the per-period decision with the
-// batched evaluator's goroutine fan-out pinned at four workers. The
-// worker sweep is digest-equivalent to the serial path (see
-// batch_equivalence_test.go), so this tracks only the dispatch overhead
-// the fan-out adds on a single decision's candidate set.
-func BenchmarkCoolAirDecisionBatch(b *testing.B) {
-	ca, obs := decisionBenchSetup(b)
-	ca.SetDecisionWorkers(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ca.Decide(obs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWorldThroughput is the tentpole number for the world sweep:
 // the Figure 12/13 study (8 sites × 2 systems × benchDays sampled days)
 // reported as simulated site-days per second of wall clock — the metric

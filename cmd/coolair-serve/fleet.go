@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
-	"time"
 
 	"coolair/internal/experiments"
 	"coolair/internal/sim"
@@ -19,22 +17,20 @@ import (
 	"coolair/internal/trace/series"
 )
 
-// Fleet mode: one daemon, N managed sites. Every site gets its own
-// ring, supervisor, and (with -state-dir) store shard; all sites share
-// one model lab (train once per fidelity, deploy fleet-wide — the
-// paper's worldwide-deployment story), one wall-clock anchor, and one
-// bounded worker pool so a 64-site fleet on an 8-core box interleaves
-// instead of thrashing. Site failures are isolated: a panicking site
-// burns through its own restart budget and circuit breaker while the
-// rest of the fleet keeps serving.
-
-// Fleet rings are smaller than the single-site default (4096/16384):
-// a DecisionRecord is ~3 KB, so 64 default rings would hold ~1 GB.
-// 512 decisions cover several simulated hours of scrollback per site.
-const (
-	fleetRingDecisions = 512
-	fleetRingTicks     = 4096
-)
+// The daemon is always a fleet: one daemon, N managed sites. Every
+// site gets its own ring, supervisor, and (with -state-dir) store
+// shard; all sites share one model lab (train once per fidelity,
+// deploy fleet-wide — the paper's worldwide-deployment story), one
+// wall-clock anchor, and one bounded worker pool so a 64-site fleet on
+// an 8-core box interleaves instead of thrashing. Site failures are
+// isolated: a panicking site burns through its own restart budget and
+// circuit breaker while the rest of the fleet keeps serving.
+//
+// Without -fleet the daemon is a fleet of one, built from
+// -location/-system, that keeps the single-site surface and on-disk
+// layout: its plane is mounted at "" (the root URLs), it takes the
+// default ring and series sizing, its run state lives in the root
+// registry rather than a shard, and its site ID is "".
 
 // fleetSite is one site's runtime assembly.
 type fleetSite struct {
@@ -46,19 +42,42 @@ type fleetSite struct {
 // fleet owns the per-site supervisors and the shared infrastructure.
 type fleet struct {
 	cfg    serveConfig
+	single bool // no -fleet spec: one site, mounted at the root
 	sites  []*fleetSite
 	pool   *sim.WorkerPool
 	logger *slog.Logger
 }
 
-// newFleet parses the spec and assembles every site: shared lab and
-// model registry, per-site ring, store shard, fault plan, and a
-// pool-gated clock.
-func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
-	specs, err := experiments.ParseFleetSpec(cfg.fleetSpec)
-	if err != nil {
-		return nil, fmt.Errorf("-fleet: %w", err)
+// siteSpecs resolves the site list: the -fleet spec's sites, or
+// without one the single site named by -location/-system.
+func siteSpecs(cfg serveConfig) ([]experiments.FleetSite, error) {
+	if cfg.fleetSpec != "" {
+		specs, err := experiments.ParseFleetSpec(cfg.fleetSpec)
+		if err != nil {
+			return nil, fmt.Errorf("-fleet: %w", err)
+		}
+		return specs, nil
 	}
+	cl, ok := findClimate(cfg.location)
+	if !ok {
+		return nil, fmt.Errorf("unknown location %q", cfg.location)
+	}
+	sys, ok := findSystem(cfg.system)
+	if !ok {
+		return nil, fmt.Errorf("unknown system %q", cfg.system)
+	}
+	return []experiments.FleetSite{{Climate: cl, System: sys}}, nil
+}
+
+// newFleet resolves the sites and assembles each one's supervisor:
+// shared lab and model registry, per-site run-state registry, fault
+// plan, and a pool-gated clock on the shared anchor.
+func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
+	specs, err := siteSpecs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	single := cfg.fleetSpec == ""
 
 	var reg *store.Registry
 	if cfg.stateDir != "" {
@@ -68,7 +87,7 @@ func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
 		}
 		reg = r
 		logger.Info("state plane enabled", "dir", reg.Dir(),
-			"checkpoint_every_sim_s", cfg.checkpointEvery, "sharded_by", "site")
+			"checkpoint_every_sim_s", cfg.checkpointEvery, "sharded", !single)
 	}
 	lab := experiments.NewLab()
 	lab.Store = reg
@@ -83,10 +102,10 @@ func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
 	// mapping, so the fleet marches through the simulated day together.
 	var shared sim.Clock
 	if cfg.speed > 0 {
-		shared = sim.NewSharedScaledClock(cfg.speed)
+		shared = sim.NewScaledClock(cfg.speed)
 	}
 
-	f := &fleet{cfg: cfg, pool: pool, logger: logger}
+	f := &fleet{cfg: cfg, single: single, pool: pool, logger: logger}
 	for _, spec := range specs {
 		siteCfg := cfg
 		if cfg.faultSeed != 0 {
@@ -97,53 +116,56 @@ func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
 			siteCfg.chaosPanicAfter = 0 // chaos targets one site only
 		}
 
-		ring := trace.NewRing(fleetRingDecisions, fleetRingTicks)
-		var runReg *store.Registry
-		if reg != nil {
-			shard, err := reg.Shard(spec.ID)
-			if err != nil {
-				return nil, fmt.Errorf("site %s: %w", spec.ID, err)
+		runReg, siteLogger := reg, logger
+		if !single {
+			siteLogger = logger.With("site", spec.ID)
+			if reg != nil {
+				shard, err := reg.Shard(spec.ID)
+				if err != nil {
+					return nil, fmt.Errorf("site %s: %w", spec.ID, err)
+				}
+				runReg = shard
 			}
-			runReg = shard
 		}
 
-		sup, err := newSupervisor(siteCfg, spec.Climate, spec.System, ring, reg, lab,
-			logger.With("site", spec.ID))
+		sup, err := newSupervisor(siteCfg, spec, reg, runReg, lab, pool.Gate(shared), siteLogger)
 		if err != nil {
 			return nil, fmt.Errorf("site %s: %w", spec.ID, err)
 		}
-		sup.site = spec.ID
-		sup.siteSeed = spec.Seed
-		sup.runReg = runReg
-		gated := pool.Gate(shared)
-		sup.clock = gated
-		sup.gated = gated
-
-		f.sites = append(f.sites, &fleetSite{spec: spec, ring: ring, sup: sup})
+		f.sites = append(f.sites, &fleetSite{spec: spec, ring: sup.ring, sup: sup})
 	}
 	logger.Info("fleet assembled", "sites", len(f.sites), "workers", pool.Size())
 	return f, nil
 }
 
-// mount registers the fleet surface: the legacy-shaped per-site planes
-// under /sites/<id>/, the JSON listing, the combined metrics page, the
-// fleet-scope query/alert endpoints, and the dashboard. proc may be
-// nil (tests).
+// mount registers the daemon's HTTP surface. A fleet of one mounts its
+// site plane at the root (process telemetry on its /metrics page); a
+// multi-site fleet mounts the per-site planes under /sites/<id>/ plus
+// the JSON listing, the combined metrics page, the fleet-scope
+// readiness and query/alert endpoints. Both get the dashboard, the
+// liveness probe, and pprof. proc may be nil (tests).
 func (f *fleet) mount(mux *http.ServeMux, proc *trace.Proc) {
-	for _, s := range f.sites {
-		httpserve.MountSitePlane(mux, "/sites/"+s.spec.ID, httpserve.SitePlane{
-			Ring: s.ring, Ready: s.sup.ready, DB: s.sup.db, Alerts: s.sup.alerts,
+	if f.single {
+		s := f.sites[0]
+		httpserve.MountSitePlane(mux, "", httpserve.SitePlane{
+			Ring: s.ring, Ready: s.sup.ready, DB: s.sup.db, Alerts: s.sup.alerts, Proc: proc,
 		})
+	} else {
+		for _, s := range f.sites {
+			httpserve.MountSitePlane(mux, "/sites/"+s.spec.ID, httpserve.SitePlane{
+				Ring: s.ring, Ready: s.sup.ready, DB: s.sup.db, Alerts: s.sup.alerts,
+			})
+		}
+		mux.Handle("/sites", httpserve.Gzip(httpserve.SitesHandler(f.snapshot)))
+		mux.Handle("/metrics", httpserve.Gzip(httpserve.FleetMetricsHandler(f.series, proc)))
+		mux.Handle("/api/query", httpserve.Cached(httpserve.DefaultQueryCacheTTL,
+			httpserve.Gzip(httpserve.FleetQueryHandler(f.dbs, f.now))))
+		mux.Handle("/api/alerts", httpserve.Cached(httpserve.DefaultQueryCacheTTL,
+			httpserve.Gzip(httpserve.FleetAlertsHandler(f.engines))))
+		mux.Handle("/readyz", httpserve.ReadyHandler(f.ready))
 	}
-	mux.Handle("/sites", httpserve.Gzip(httpserve.SitesHandler(f.snapshot)))
-	mux.Handle("/metrics", httpserve.Gzip(httpserve.FleetMetricsHandler(f.series, proc)))
-	mux.Handle("/api/query", httpserve.Cached(httpserve.DefaultQueryCacheTTL,
-		httpserve.Gzip(httpserve.FleetQueryHandler(f.dbs, f.now))))
-	mux.Handle("/api/alerts", httpserve.Cached(httpserve.DefaultQueryCacheTTL,
-		httpserve.Gzip(httpserve.FleetAlertsHandler(f.engines))))
 	mux.Handle("/dashboard", httpserve.DashboardHandler())
 	mux.Handle("/healthz", httpserve.HealthHandler())
-	mux.Handle("/readyz", httpserve.ReadyHandler(f.ready))
 	mux.Handle("/debug/pprof/", httpserve.PprofMux())
 }
 
@@ -230,11 +252,10 @@ func (f *fleet) ready() (bool, string) {
 
 // run drives every site's supervised loop to completion (or ctx
 // cancellation). Site failures are contained: a site whose loop returns
-// an error is marked stopped (its breaker state explains it on /sites
-// and /readyz) and the rest of the fleet runs on. run itself only
-// reports the fleet-level outcome — it never kills the daemon for one
-// site's misconfiguration.
-func (f *fleet) run(ctx context.Context) error {
+// an error is marked stopped (its mode and reason explain it on /sites
+// and /readyz) and the rest of the fleet runs on — run never kills the
+// daemon for one site's misconfiguration.
+func (f *fleet) run(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, s := range f.sites {
 		wg.Add(1)
@@ -250,54 +271,5 @@ func (f *fleet) run(ctx context.Context) error {
 	wg.Wait()
 	if ctx.Err() == nil {
 		f.logger.Info("fleet complete, telemetry plane stays up until signal")
-	}
-	return nil
-}
-
-// runFleet is run()'s fleet-mode twin: bind the HTTP plane, boot every
-// site's supervised loop, and block until the shutdown signal.
-func runFleet(ctx context.Context, cfg serveConfig, logger *slog.Logger, onListen func(addr string)) error {
-	f, err := newFleet(cfg, logger)
-	if err != nil {
-		return err
-	}
-	proc := trace.NewProc(buildVersion())
-	proc.Start(ctx, 0)
-	mux := http.NewServeMux()
-	f.mount(mux, proc)
-
-	srv, err := httpserve.Start(cfg.addr, mux)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			logger.Warn("http shutdown", "err", err)
-		}
-	}()
-	if cfg.addrFile != "" {
-		if err := os.WriteFile(cfg.addrFile, []byte(srv.Addr()), 0o644); err != nil {
-			return fmt.Errorf("write -addr-file: %w", err)
-		}
-	}
-	if onListen != nil {
-		onListen(srv.Addr())
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- f.run(ctx) }()
-	select {
-	case <-ctx.Done():
-		logger.Info("shutdown signal received, stopping fleet")
-		<-done
-		return nil
-	case err := <-done:
-		if err != nil {
-			return err
-		}
-		<-ctx.Done()
-		return nil
 	}
 }

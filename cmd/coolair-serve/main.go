@@ -1,9 +1,9 @@
-// Command coolair-serve runs one managed datacenter as a long-running
-// daemon with a live telemetry plane: the simulation is paced by a
-// wall clock (real time, scaled, or as fast as possible) and feeds the
-// flight-recorder ring, which the HTTP side exposes as Prometheus
-// metrics, health/readiness probes, a Server-Sent-Events stream of
-// decision records, and /debug/pprof.
+// Command coolair-serve runs managed datacenters — one site, or a
+// -fleet of them — as a long-running daemon with a live telemetry
+// plane: each simulation is paced by a wall clock (real time, scaled,
+// or as fast as possible) and feeds its flight-recorder ring, which the
+// HTTP side exposes as Prometheus metrics, health/readiness probes, a
+// Server-Sent-Events stream of decision records, and /debug/pprof.
 //
 //	coolair-serve -location newark -system all-nd -year -speed 3600
 //	curl localhost:8080/metrics
@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"coolair/internal/experiments"
-	"coolair/internal/store"
 	"coolair/internal/trace"
 	"coolair/internal/trace/httpserve"
 	"coolair/internal/weather"
@@ -116,52 +114,23 @@ func main() {
 	}
 }
 
-// run starts the HTTP plane, then the supervised run loop, and blocks
-// until the context is cancelled (signal) or the loop fails. The HTTP
-// plane stays up after a completed (or circuit-broken) loop so the
-// final state remains inspectable; onListen (may be nil) receives the
-// bound address.
+// run assembles the fleet (without -fleet, a fleet of one site built
+// from -location/-system), binds the HTTP plane, boots every site's
+// supervised run loop, and blocks until the context is cancelled
+// (signal). The HTTP plane stays up after the sites complete (or
+// circuit-break) so the final state remains inspectable; onListen (may
+// be nil) receives the bound address.
 func run(ctx context.Context, cfg serveConfig, logger *slog.Logger, onListen func(addr string)) error {
-	if cfg.fleetSpec != "" {
-		return runFleet(ctx, cfg, logger, onListen)
-	}
-	cl, ok := findClimate(cfg.location)
-	if !ok {
-		return fmt.Errorf("unknown location %q", cfg.location)
-	}
-	sys, ok := findSystem(cfg.system)
-	if !ok {
-		return fmt.Errorf("unknown system %q", cfg.system)
-	}
-
-	var reg *store.Registry
-	if cfg.stateDir != "" {
-		r, err := store.Open(cfg.stateDir)
-		if err != nil {
-			return err
-		}
-		reg = r
-		logger.Info("state plane enabled", "dir", reg.Dir(), "checkpoint_every_sim_s", cfg.checkpointEvery)
-	}
-
-	ring := trace.NewRing(0, 0)
-	sup, err := newSupervisor(cfg, cl, sys, ring, reg, nil, logger)
+	f, err := newFleet(cfg, logger)
 	if err != nil {
 		return err
 	}
-
 	proc := trace.NewProc(buildVersion())
 	proc.Start(ctx, 0)
-
 	mux := http.NewServeMux()
-	httpserve.MountSitePlane(mux, "", httpserve.SitePlane{
-		Ring: ring, Ready: sup.ready, DB: sup.db, Alerts: sup.alerts, Proc: proc,
-	})
-	mux.Handle("/dashboard", httpserve.DashboardHandler())
-	mux.Handle("/healthz", httpserve.HealthHandler())
-	mux.Handle("/debug/pprof/", httpserve.PprofMux())
+	f.mount(mux, proc)
 
-	// Bind before booting the run loop: /healthz answers (and bind
+	// Bind before booting the run loops: /healthz answers (and bind
 	// errors surface) while snapshots restore or the model campaign runs.
 	srv, err := httpserve.Start(cfg.addr, mux)
 	if err != nil {
@@ -183,23 +152,17 @@ func run(ctx context.Context, cfg serveConfig, logger *slog.Logger, onListen fun
 		onListen(srv.Addr())
 	}
 
-	simErr := make(chan error, 1)
-	go func() { simErr <- sup.loop(ctx) }()
-
-	select {
-	case <-ctx.Done():
-		logger.Info("shutdown signal received, stopping simulation")
-		// The run loop observes the same ctx; wait for it to unwind so
-		// its recorder emissions stop before the HTTP plane drains.
-		<-simErr
-		return nil
-	case err := <-simErr:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("simulation: %w", err)
-		}
-		<-ctx.Done()
-		return nil
-	}
+	done := make(chan struct{})
+	go func() {
+		f.run(ctx)
+		close(done)
+	}()
+	<-ctx.Done()
+	logger.Info("shutdown signal received, stopping simulation")
+	// The run loops observe the same ctx; wait for them to unwind so
+	// their recorder emissions stop before the HTTP plane drains.
+	<-done
+	return nil
 }
 
 // buildVersion labels the coolair_build_info series from the binary's

@@ -93,21 +93,20 @@ type supervisor struct {
 	days   []int
 	ring   *trace.Ring
 	reg    *store.Registry // nil without -state-dir
-	runReg *store.Registry // run-state home: reg, or a per-site shard in fleet mode
+	runReg *store.Registry // run-state home: reg, or a per-site shard in a multi-site fleet
 	lab    *experiments.Lab
 	inj    *faults.Injector
 	logger *slog.Logger
 
-	// Fleet identity (zero values for the single-site daemon): site is
-	// the fleet site id (stamped on run-state snapshots and in the
-	// fingerprint), siteSeed offsets the fault plan, clock overrides the
-	// speed-derived clock (the fleet's pool-gated shared clock), and
-	// gated, when set, has its slot released whenever a run attempt
-	// exits so a finished or crashed site cannot starve the pool.
+	// Fleet identity: site is the fleet site id ("" for the single-site
+	// daemon; stamped on run-state snapshots and in the fingerprint),
+	// siteSeed offsets the fault plan, and clock is the site's pool-gated
+	// view of the fleet's shared clock — its slot is released whenever a
+	// run attempt exits so a finished or crashed site cannot starve the
+	// pool.
 	site     string
 	siteSeed int64
-	clock    sim.Clock
-	gated    *sim.GatedClock
+	clock    *sim.GatedClock
 
 	// Time-series plane: the collector tees the run's records into the
 	// ring and folds them into the site's series store, where the alert
@@ -146,17 +145,20 @@ type supervisor struct {
 	chaosRemaining int
 }
 
-// newSupervisor assembles the supervisor: workload, day schedule, fault
-// plan, and the model lab wired to the registry. lab may be nil (a
-// private lab is created); the fleet passes one shared lab so N sites
+// Fleet rings are smaller than the single-site default (4096/16384):
+// a DecisionRecord is ~3 KB, so 64 default rings would hold ~1 GB.
+// 512 decisions cover several simulated hours of scrollback per site.
+const (
+	fleetRingDecisions = 512
+	fleetRingTicks     = 4096
+)
+
+// newSupervisor assembles one site's supervisor: workload, day
+// schedule, fault plan, and the fleet's shared model lab, so N sites
 // train — or restore — each fidelity's model exactly once.
-func newSupervisor(cfg serveConfig, cl weather.Climate, sys experiments.System,
-	ring *trace.Ring, reg *store.Registry, lab *experiments.Lab, logger *slog.Logger) (*supervisor, error) {
-	if lab == nil {
-		lab = experiments.NewLab()
-		lab.Store = reg
-		lab.Logger = logger
-	}
+func newSupervisor(cfg serveConfig, site experiments.FleetSite, reg, runReg *store.Registry,
+	lab *experiments.Lab, clock *sim.GatedClock, logger *slog.Logger) (*supervisor, error) {
+	sys := site.System
 	wl := lab.Facebook()
 	if cfg.workloadName == "nutch" {
 		wl = lab.Nutch()
@@ -183,17 +185,23 @@ func newSupervisor(cfg serveConfig, cl weather.Climate, sys experiments.System,
 		inj = in
 	}
 
-	s := &supervisor{
-		cfg: cfg, cl: cl, sys: sys, wl: wl, days: days,
-		ring: ring, reg: reg, runReg: reg, lab: lab, inj: inj, logger: logger,
-		chaosRemaining: cfg.chaosPanicCount,
-	}
-	// Time-series plane: fleet sites take the small per-site sizing so a
-	// world-scale daemon's memory stays bounded (mirroring the ring
-	// downsizing above).
+	// Telemetry sizing: a multi-site fleet takes the small per-site ring
+	// and series store so a world-scale daemon's memory stays bounded;
+	// the single-site daemon keeps the defaults.
+	var ring *trace.Ring
 	seriesCfg := series.DefaultConfig()
-	if cfg.fleetSpec != "" {
+	if cfg.fleetSpec == "" {
+		ring = trace.NewRing(0, 0)
+	} else {
+		ring = trace.NewRing(fleetRingDecisions, fleetRingTicks)
 		seriesCfg = series.FleetConfig()
+	}
+
+	s := &supervisor{
+		cfg: cfg, cl: site.Climate, sys: sys, wl: wl, days: days,
+		ring: ring, reg: reg, runReg: runReg, lab: lab, inj: inj, logger: logger,
+		site: site.ID, siteSeed: site.Seed, clock: clock,
+		chaosRemaining: cfg.chaosPanicCount,
 	}
 	s.db = series.NewDB(seriesCfg)
 	s.alerts = series.NewEngine(s.db, nil, ring.Metrics(), 0)
@@ -349,9 +357,7 @@ func (s *supervisor) runOnce(ctx context.Context) (err error) {
 		// Whatever way the attempt ended, give the fleet pool its slot
 		// back: a completed, crashed, or circuit-broken site must never
 		// hold compute capacity the live sites could use.
-		if s.gated != nil {
-			s.gated.Release()
-		}
+		s.clock.Release()
 	}()
 	met := s.ring.Metrics()
 
@@ -564,16 +570,12 @@ func (s *supervisor) trainDegraded(ctx context.Context) error {
 // baseRunCfg is the shared run configuration (degraded and managed
 // runs differ only in controller and checkpointing).
 func (s *supervisor) baseRunCfg(ctx context.Context) sim.RunConfig {
-	clock := s.clock
-	if clock == nil && s.cfg.speed > 0 {
-		clock = sim.NewScaledClock(s.cfg.speed)
-	}
 	return sim.RunConfig{
 		Days: s.days, Trace: s.wl,
 		Faults:   s.inj,
 		Recorder: s.collector,
 		Context:  ctx,
-		Clock:    clock,
+		Clock:    s.clock,
 		Logger:   s.logger,
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"coolair"
 	"coolair/internal/core"
 	"coolair/internal/experiments"
+	"coolair/internal/faults"
 	"coolair/internal/store"
 )
 
@@ -31,8 +32,9 @@ const goldenDigestPath = "testdata/golden_decision_digest.txt"
 
 // runDecisionDay runs the canonical determinism scenario: one simulated
 // day (day 150, Newark, Smooth-Sim, All-ND) with the recorded series on.
-// rec, when non-nil, attaches a flight recorder to the run.
-func runDecisionDay(t testing.TB, l *experiments.Lab, rec coolair.TraceRecorder) *coolair.Result {
+// rec, when non-nil, attaches a flight recorder to the run; inj, when
+// non-nil, injects its fault plan.
+func runDecisionDay(t testing.TB, l *experiments.Lab, rec coolair.TraceRecorder, inj *faults.Injector) *coolair.Result {
 	t.Helper()
 	m, err := l.Model(coolair.SmoothSim)
 	if err != nil {
@@ -49,7 +51,7 @@ func runDecisionDay(t testing.TB, l *experiments.Lab, rec coolair.TraceRecorder)
 		t.Fatal(err)
 	}
 	res, err := coolair.Run(env, ca, coolair.RunConfig{
-		Days: []int{150}, Trace: l.Facebook(), RecordSeries: true, Recorder: rec,
+		Days: []int{150}, Trace: l.Facebook(), RecordSeries: true, Recorder: rec, Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +83,8 @@ func resultDigest(t testing.TB, res *coolair.Result) string {
 // on the same architecture are exactly reproducible.
 func TestDecisionDeterminism(t *testing.T) {
 	l := experiments.NewLab()
-	first := resultDigest(t, runDecisionDay(t, l, nil))
-	second := resultDigest(t, runDecisionDay(t, l, nil))
+	first := resultDigest(t, runDecisionDay(t, l, nil, nil))
+	second := resultDigest(t, runDecisionDay(t, l, nil, nil))
 	if first != second {
 		t.Fatalf("rerun produced a different trace:\n  first  %s\n  second %s", first, second)
 	}
@@ -135,7 +137,7 @@ func TestRestoredModelDeterminism(t *testing.T) {
 	if res.Restored {
 		t.Fatal("first lab restored a model from an empty registry")
 	}
-	trained := resultDigest(t, runDecisionDay(t, trainer, nil))
+	trained := resultDigest(t, runDecisionDay(t, trainer, nil, nil))
 
 	// Second lab: same key, fresh process state — must restore, not train.
 	restorer := experiments.NewLab()
@@ -151,7 +153,7 @@ func TestRestoredModelDeterminism(t *testing.T) {
 	if !res2.Restored {
 		t.Fatal("second lab trained despite a registry snapshot")
 	}
-	restored := resultDigest(t, runDecisionDay(t, restorer, nil))
+	restored := resultDigest(t, runDecisionDay(t, restorer, nil, nil))
 
 	if trained != restored {
 		t.Fatalf("restored model diverged from the trained one:\n  trained  %s\n  restored %s", trained, restored)
@@ -179,9 +181,9 @@ func TestRestoredModelDeterminism(t *testing.T) {
 func TestRecorderEquivalence(t *testing.T) {
 	l := experiments.NewLab()
 	ring := coolair.NewTraceRing(0, 0)
-	traced := resultDigest(t, runDecisionDay(t, l, ring))
-	nop := resultDigest(t, runDecisionDay(t, l, coolair.NopRecorder{}))
-	bare := resultDigest(t, runDecisionDay(t, l, nil))
+	traced := resultDigest(t, runDecisionDay(t, l, ring, nil))
+	nop := resultDigest(t, runDecisionDay(t, l, coolair.NopRecorder{}, nil))
+	bare := resultDigest(t, runDecisionDay(t, l, nil, nil))
 
 	if traced != nop || nop != bare {
 		t.Fatalf("recording changed the run:\n  ring %s\n  nop  %s\n  none %s", traced, nop, bare)
@@ -209,5 +211,37 @@ func TestRecorderEquivalence(t *testing.T) {
 	if traced != strings.TrimSpace(string(want)) {
 		t.Fatalf("traced run diverged from the golden digest:\n  want %s\n  got  %s",
 			strings.TrimSpace(string(want)), traced)
+	}
+}
+
+// TestDecisionFaultPlanDeterminism pins determinism under an
+// adversarial fault plan (spiking inlet sensors plus a stuck fan): the
+// injector corrupts observations and actuations identically per step,
+// so two faulted runs of the canonical day must match bit for bit
+// through the degraded-candidate paths.
+func TestDecisionFaultPlanDeterminism(t *testing.T) {
+	day := 150 * 86400.0
+	plan := faults.Plan{Seed: 9, Faults: []faults.Fault{
+		{Kind: faults.SensorSpike, Target: faults.TargetPodInlet, Pod: faults.AllPods,
+			Start: day + 2*3600, Duration: 8 * 3600, Magnitude: 3},
+		{Kind: faults.FanStuck, Start: day + 6*3600, Duration: 6 * 3600, Magnitude: 0.15},
+	}}
+	l := experiments.NewLab()
+	faulted := func() string {
+		inj, err := faults.NewInjector(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultDigest(t, runDecisionDay(t, l, nil, inj))
+	}
+	first, second := faulted(), faulted()
+	if first != second {
+		t.Fatalf("faulted rerun produced a different trace:\n  first  %s\n  second %s", first, second)
+	}
+	// The plan must have actually perturbed the run, or the rerun
+	// identity proves nothing beyond TestDecisionDeterminism: a faulted
+	// day cannot match the clean (golden) digest.
+	if clean := resultDigest(t, runDecisionDay(t, l, nil, nil)); first == clean {
+		t.Fatal("fault plan left the run untouched; the determinism check is vacuous")
 	}
 }

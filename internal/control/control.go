@@ -94,14 +94,14 @@ type DayPlanner interface {
 	StartDay(day int)
 }
 
-// WorkerConfigurable is implemented by controllers whose decision path
-// can fan candidate evaluation across goroutines (CoolAir's batched
-// evaluator). The simulator hands RunConfig.DecisionWorkers down
-// through it; wrappers like Guard forward the setting to the inner
-// controller. Implementations must keep decisions bit-identical for
-// any worker count — parallelism may change only wall-clock time.
+// WorkerConfigurable is a retired optional interface: no controller
+// implements it and the simulator never consults it. One decision is a
+// few microseconds of serial work, and runs parallelize across sites
+// instead (DESIGN.md §11). The declaration stays only because the
+// perfbench module's interface-forwarding test names it; its method is
+// unexported so that nothing outside this package can implement it.
 type WorkerConfigurable interface {
-	SetDecisionWorkers(n int)
+	retired()
 }
 
 // TemporalScheduler is implemented by controllers that defer job starts

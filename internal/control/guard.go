@@ -176,16 +176,6 @@ func (g *Guard) SetRecorder(r trace.Recorder) {
 // paths, never per healthy decision.
 func (g *Guard) SetLogger(l *slog.Logger) { g.log = l }
 
-// SetDecisionWorkers implements control.WorkerConfigurable by
-// forwarding to the inner controller (the guard itself has no
-// parallelizable work), so one call configures the whole stack — the
-// guard's retry path then reuses the batched evaluator too.
-func (g *Guard) SetDecisionWorkers(n int) {
-	if w, ok := g.inner.(WorkerConfigurable); ok {
-		w.SetDecisionWorkers(n)
-	}
-}
-
 // sensorGuard is the per-sensor sanitation state.
 type sensorGuard struct {
 	lastGood     float64

@@ -97,7 +97,6 @@ type CoolAir struct {
 	powers     []units.Watts // per-step predicted cooling power of the current candidate
 	powBuf     []float64     // power-model feature scratch
 	powMemo    []powerMemoEntry
-	workers    int // PredictWindowBatch fan-out; ≤1 means serial
 	curState   model.PredictorState
 	snapBuf    [2][]units.Celsius // ping-pong pod-temperature buffers for Observe
 	snapFlip   int
@@ -366,7 +365,7 @@ func (c *CoolAir) Decide(obs control.Observation) (cooling.Command, error) {
 	if timing {
 		mark = time.Now()
 	}
-	allFailed := c.model.PredictWindowBatch(&c.batch, state, c.schedArena, horizon, c.skip, c.workers) != nil
+	allFailed := c.model.PredictWindowBatch(&c.batch, state, c.schedArena, horizon, c.skip) != nil
 	if timing {
 		c.spans.RecordSpan(trace.PhasePredict, time.Since(mark).Seconds())
 	}
@@ -544,13 +543,6 @@ func (c *CoolAir) candidate(i int) cooling.Command {
 	}
 }
 
-// SetDecisionWorkers implements control.WorkerConfigurable: n > 1 fans
-// the batched prediction sweep across n goroutines. Results are merged
-// by candidate index and scoring stays serial, so any worker count
-// produces bit-identical decisions (the workers-equivalence test pins
-// this). Values ≤ 1 keep the sweep on the calling goroutine.
-func (c *CoolAir) SetDecisionWorkers(n int) { c.workers = n }
-
 // powerMemoEntry memoizes one power-model evaluation within a decision.
 // The key compares the command's float speeds by bit pattern
 // (math.Float64bits) — exact, NaN-safe, and free of float equality.
@@ -668,7 +660,7 @@ func (c *CoolAir) EvaluateCandidates(obs control.Observation) []CandidateEval {
 		_, err := c.plant.PreviewScheduleInto(dst, c.candidate(i), model.ModelStepSeconds, horizon)
 		c.skip[i] = err != nil
 	}
-	batchErr := c.model.PredictWindowBatch(&c.batch, state, c.schedArena, horizon, c.skip, c.workers)
+	batchErr := c.model.PredictWindowBatch(&c.batch, state, c.schedArena, horizon, c.skip)
 	out := make([]CandidateEval, 0, n)
 	c.powMemo = c.powMemo[:0]
 	for i := 0; i < n; i++ {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 
 	"coolair/internal/cooling"
 	"coolair/internal/mlearn"
@@ -81,8 +80,8 @@ type BatchScratch struct {
 	temps  []units.Celsius
 	failed []bool
 
-	// start is a scratch-owned copy of the start state (so worker
-	// goroutines never capture caller memory), tmpl the per-pod
+	// start is a scratch-owned copy of the start state (so the
+	// rollouts never alias caller memory), tmpl the per-pod
 	// state-only feature prefix with the candidate-dependent slots
 	// (fanAvg and its composites, compAvg) left to be patched, and
 	// humIn/humOut the hoisted humidity operands.
@@ -92,8 +91,8 @@ type BatchScratch struct {
 
 	tables [cooling.NumModes]batchModeTable
 
-	// feats holds one feature buffer per worker.
-	feats [][]float64
+	// feat is the per-candidate feature buffer.
+	feat []float64
 }
 
 // Candidates returns how many candidates the last batch evaluated.
@@ -111,7 +110,7 @@ func (sc *BatchScratch) Rollout(i int) []PredictorState {
 // scoring exactly as on the serial path).
 func (sc *BatchScratch) Failed(i int) bool { return sc.failed[i] }
 
-func (sc *BatchScratch) resize(n, steps, pods, workers int) {
+func (sc *BatchScratch) resize(n, steps, pods int) {
 	sc.n, sc.steps, sc.pods = n, steps, pods
 	if cap(sc.states) < n*steps {
 		sc.states = make([]PredictorState, n*steps)
@@ -132,30 +131,22 @@ func (sc *BatchScratch) resize(n, steps, pods, workers int) {
 		sc.tmpl = make([]float64, pods*tempFeatureCount)
 	}
 	sc.tmpl = sc.tmpl[:pods*tempFeatureCount]
-	for len(sc.feats) < workers {
-		sc.feats = append(sc.feats, nil)
+	if cap(sc.feat) < tempFeatureCount {
+		sc.feat = make([]float64, tempFeatureCount)
 	}
-	for w := 0; w < workers; w++ {
-		if cap(sc.feats[w]) < tempFeatureCount {
-			sc.feats[w] = make([]float64, tempFeatureCount)
-		}
-		sc.feats[w] = sc.feats[w][:tempFeatureCount]
-	}
+	sc.feat = sc.feat[:tempFeatureCount]
 }
 
 // PredictWindowBatch evaluates every candidate's optimizer window in
 // one pass. scheds is the flat schedule arena: candidate i's effective
 // command schedule is scheds[i*steps : (i+1)*steps]. Candidates with
 // skip[i] set (e.g. a failed plant preview) are left unevaluated.
-// workers > 1 fans the per-candidate work across that many goroutines
-// in contiguous index chunks; results are written to disjoint arena
-// slots indexed by candidate, so the outcome is bit-identical for any
-// worker count. Per-candidate results are exactly PredictWindowInto's,
+// Per-candidate results are exactly PredictWindowInto's,
 // bit for bit; failures are reported per candidate via Failed rather
 // than an error. The returned error covers only whole-batch misuse
 // (geometry or pod-count mismatch), mirroring the condition every
 // serial call would have failed with.
-func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, scheds []cooling.Command, steps int, skip []bool, workers int) error {
+func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, scheds []cooling.Command, steps int, skip []bool) error {
 	if steps <= 0 {
 		return fmt.Errorf("model: empty schedule")
 	}
@@ -169,16 +160,10 @@ func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, sched
 	if len(start.PodTemp) != m.pods {
 		return fmt.Errorf("model: state has %d pods, model has %d", len(start.PodTemp), m.pods)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	sc.resize(n, steps, m.pods, workers)
+	sc.resize(n, steps, m.pods)
 
-	// Copy the start state into scratch-owned buffers: workers must not
-	// capture caller memory, and the copy also serves the hoisted
+	// Copy the start state into scratch-owned buffers: the rollouts must
+	// not alias caller memory, and the copy also serves the hoisted
 	// feature template below.
 	sc.start.PodTemp = append(sc.start.PodTemp[:0], start.PodTemp...)
 	sc.start.PodTempPrev = append(sc.start.PodTempPrev[:0], start.PodTempPrev...)
@@ -236,63 +221,23 @@ func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, sched
 		sc.tables[mode].fill(m, tr)
 	}
 
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if skip[i] {
-				continue
-			}
-			m.evalBatchCandidate(sc, scheds, steps, i, 0)
-		}
-		return nil
-	}
-	m.batchFanOut(sc, scheds, steps, skip, workers, n)
-	return nil
-}
-
-// batchFanOut runs the per-candidate evaluations across workers
-// goroutines. It is a separate function so the serial path stays free
-// of closure allocations.
-func (m *Model) batchFanOut(sc *BatchScratch, scheds []cooling.Command, steps int, skip []bool, workers, n int) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi, w int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if skip[i] {
-					continue
-				}
-				m.evalBatchCandidate(sc, scheds, steps, i, w)
-			}
-		}(lo, hi, w)
-	}
-	for i := 0; i < chunk && i < n; i++ {
+	for i := 0; i < n; i++ {
 		if skip[i] {
 			continue
 		}
-		m.evalBatchCandidate(sc, scheds, steps, i, 0)
+		m.evalBatchCandidate(sc, scheds, steps, i)
 	}
-	wg.Wait()
+	return nil
 }
 
-// evalBatchCandidate evaluates candidate i into its arena slots using
-// worker w's feature buffer. It mirrors PredictWindowInto's math
-// statement for statement; any deviation here breaks the golden
-// decision digest.
-func (m *Model) evalBatchCandidate(sc *BatchScratch, scheds []cooling.Command, steps, i, w int) {
+// evalBatchCandidate evaluates candidate i into its arena slots. It
+// mirrors PredictWindowInto's math statement for statement; any
+// deviation here breaks the golden decision digest.
+func (m *Model) evalBatchCandidate(sc *BatchScratch, scheds []cooling.Command, steps, i int) {
 	sched := scheds[i*steps : (i+1)*steps]
 	states := sc.states[i*steps : (i+1)*steps]
 	temps := sc.temps[i*steps*m.pods : (i+1)*steps*m.pods]
-	feat := &sc.feats[w]
+	feat := &sc.feat
 
 	mode := sched[0].Mode
 	var t *batchModeTable

@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"coolair/internal/cooling"
@@ -91,86 +90,52 @@ func requireSameWindow(t *testing.T, cand int, serial, batch []PredictorState) {
 // of the batched evaluator: for every candidate, PredictWindowBatch
 // produces exactly PredictWindowInto's window — bit for bit — and fails
 // exactly where the serial call errors (direct horizon fits, chained
-// fallbacks, and invalid modes alike).
+// fallbacks, and invalid modes alike). It also pins that a reused
+// scratch leaks nothing between batches: a second, different batch
+// through the same scratch must match its own serial reference, and
+// the first batch must then reproduce exactly.
 func TestPredictWindowBatchMatchesSerial(t *testing.T) {
 	m, log := fitCampaign(t, 3, 1)
 	snaps := log.Snapshots()
 	start := StateFromSnapshots(snaps[50], snaps[51])
-
 	arena := batchCandidates(batchSteps)
-	n := len(arena) / batchSteps
-	skip := make([]bool, n)
 
-	// Serial reference, one candidate at a time.
+	// The second batch starts in another regime (so other transition
+	// models resolve), has fewer candidates, and skips one.
+	other := StateFromSnapshots(snaps[120], snaps[121])
+	other.Mode, other.PrevMode = cooling.ModeFreeCooling, cooling.ModeFreeCooling
+	otherArena := arena[2*batchSteps:]
+	otherSkip := make([]bool, len(otherArena)/batchSteps)
+	otherSkip[1] = true
+
 	var psc PredictScratch
-	serial := make([][]PredictorState, n)
-	serialErr := make([]bool, n)
-	for i := 0; i < n; i++ {
-		w, err := m.PredictWindowInto(&psc, start, arena[i*batchSteps:(i+1)*batchSteps])
-		if err != nil {
-			serialErr[i] = true
-			continue
-		}
-		serial[i] = copyWindow(w)
-	}
 	var bsc BatchScratch
-	if err := m.PredictWindowBatch(&bsc, start, arena, batchSteps, skip, 1); err != nil {
-		t.Fatal(err)
-	}
-	if bsc.Candidates() != n {
-		t.Fatalf("Candidates() = %d, want %d", bsc.Candidates(), n)
-	}
-	for i := 0; i < n; i++ {
-		if bsc.Failed(i) != serialErr[i] {
-			t.Fatalf("candidate %d: batch failed=%v, serial err=%v", i, bsc.Failed(i), serialErr[i])
-		}
-		if serialErr[i] {
-			continue
-		}
-		requireSameWindow(t, i, serial[i], bsc.Rollout(i))
-	}
-}
-
-// TestPredictWindowBatchWorkerInvariance pins worker-count determinism:
-// the same batch evaluated with 1, 2, and NumCPU workers (and through a
-// reused scratch) writes bit-identical arenas. Results live in disjoint
-// per-candidate slots, so scheduling order cannot leak into the floats.
-func TestPredictWindowBatchWorkerInvariance(t *testing.T) {
-	m, log := fitCampaign(t, 3, 1)
-	snaps := log.Snapshots()
-	start := StateFromSnapshots(snaps[50], snaps[51])
-
-	arena := batchCandidates(batchSteps)
-	n := len(arena) / batchSteps
-	skip := make([]bool, n)
-
-	var ref BatchScratch
-	if err := m.PredictWindowBatch(&ref, start, arena, batchSteps, skip, 1); err != nil {
-		t.Fatal(err)
-	}
-	refCopies := make([][]PredictorState, n)
-	for i := 0; i < n; i++ {
-		if !ref.Failed(i) {
-			refCopies[i] = copyWindow(ref.Rollout(i))
-		}
-	}
-
-	workerCounts := []int{2, 4, runtime.NumCPU()}
-	var sc BatchScratch // reused across counts: reuse must not leak state
-	for _, workers := range workerCounts {
-		if err := m.PredictWindowBatch(&sc, start, arena, batchSteps, skip, workers); err != nil {
+	check := func(pass string, start PredictorState, arena []cooling.Command, skip []bool) {
+		t.Helper()
+		n := len(arena) / batchSteps
+		if err := m.PredictWindowBatch(&bsc, start, arena, batchSteps, skip); err != nil {
 			t.Fatal(err)
 		}
+		if bsc.Candidates() != n {
+			t.Fatalf("%s: Candidates() = %d, want %d", pass, bsc.Candidates(), n)
+		}
 		for i := 0; i < n; i++ {
-			if sc.Failed(i) != ref.Failed(i) {
-				t.Fatalf("workers=%d candidate %d: failed=%v, want %v", workers, i, sc.Failed(i), ref.Failed(i))
-			}
-			if ref.Failed(i) {
+			if skip[i] {
 				continue
 			}
-			requireSameWindow(t, i, refCopies[i], sc.Rollout(i))
+			// Serial reference, one candidate at a time.
+			w, err := m.PredictWindowInto(&psc, start, arena[i*batchSteps:(i+1)*batchSteps])
+			if bsc.Failed(i) != (err != nil) {
+				t.Fatalf("%s: candidate %d: batch failed=%v, serial err=%v", pass, i, bsc.Failed(i), err)
+			}
+			if err == nil {
+				requireSameWindow(t, i, w, bsc.Rollout(i))
+			}
 		}
 	}
+	check("fresh scratch", start, arena, make([]bool, len(arena)/batchSteps))
+	check("second batch", other, otherArena, otherSkip)
+	check("first batch again", start, arena, make([]bool, len(arena)/batchSteps))
 }
 
 // TestPredictWindowBatchSkipMask pins the skip contract: masked
@@ -188,26 +153,24 @@ func TestPredictWindowBatchSkipMask(t *testing.T) {
 
 	var psc PredictScratch
 	var sc BatchScratch
-	for _, workers := range []int{1, 3} {
-		if err := m.PredictWindowBatch(&sc, start, arena, batchSteps, skip, workers); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if skip[i] {
-				if sc.Failed(i) {
-					t.Fatalf("workers=%d: skipped candidate %d reported failed", workers, i)
-				}
-				continue
+	if err := m.PredictWindowBatch(&sc, start, arena, batchSteps, skip); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if skip[i] {
+			if sc.Failed(i) {
+				t.Fatalf("skipped candidate %d reported failed", i)
 			}
-			w, err := m.PredictWindowInto(&psc, start, arena[i*batchSteps:(i+1)*batchSteps])
-			if err != nil {
-				if !sc.Failed(i) {
-					t.Fatalf("workers=%d candidate %d: serial errored, batch succeeded", workers, i)
-				}
-				continue
-			}
-			requireSameWindow(t, i, w, sc.Rollout(i))
+			continue
 		}
+		w, err := m.PredictWindowInto(&psc, start, arena[i*batchSteps:(i+1)*batchSteps])
+		if err != nil {
+			if !sc.Failed(i) {
+				t.Fatalf("candidate %d: serial errored, batch succeeded", i)
+			}
+			continue
+		}
+		requireSameWindow(t, i, w, sc.Rollout(i))
 	}
 }
 
@@ -220,18 +183,18 @@ func TestPredictWindowBatchGeometryErrors(t *testing.T) {
 	var sc BatchScratch
 	arena := batchCandidates(batchSteps)
 
-	if err := m.PredictWindowBatch(&sc, start, arena, 0, nil, 1); err == nil {
+	if err := m.PredictWindowBatch(&sc, start, arena, 0, nil); err == nil {
 		t.Error("zero steps should error")
 	}
-	if err := m.PredictWindowBatch(&sc, start, arena[:batchSteps+1], batchSteps, make([]bool, 2), 1); err == nil {
+	if err := m.PredictWindowBatch(&sc, start, arena[:batchSteps+1], batchSteps, make([]bool, 2)); err == nil {
 		t.Error("ragged arena should error")
 	}
-	if err := m.PredictWindowBatch(&sc, start, arena, batchSteps, make([]bool, 1), 1); err == nil {
+	if err := m.PredictWindowBatch(&sc, start, arena, batchSteps, make([]bool, 1)); err == nil {
 		t.Error("short skip mask should error")
 	}
 	bad := start
 	bad.PodTemp = bad.PodTemp[:2]
-	if err := m.PredictWindowBatch(&sc, bad, arena, batchSteps, make([]bool, len(arena)/batchSteps), 1); err == nil {
+	if err := m.PredictWindowBatch(&sc, bad, arena, batchSteps, make([]bool, len(arena)/batchSteps)); err == nil {
 		t.Error("pod-count mismatch should error")
 	}
 }

@@ -20,10 +20,16 @@ type Clock interface {
 
 // scaledClock advances simulated time at factor × real time, anchored
 // at its first Pace call (so a run that starts mid-year does not sleep
-// through the skipped months). It is used from a single run loop, so
-// the anchor needs no locking.
+// through the skipped months). The anchor is shared by every run that
+// paces the same clock: fleet sites simulate the same day schedule, so
+// one anchor keeps them marching in lockstep wall time instead of each
+// drifting on a private anchor set by its own boot instant, and a
+// restarted run catches up to the original anchor rather than
+// re-anchoring. Pace is safe for concurrent use.
 type scaledClock struct {
-	factor   float64
+	factor float64
+
+	mu       sync.Mutex
 	anchored bool
 	wall0    time.Time
 	sim0     float64
@@ -44,55 +50,6 @@ func NewScaledClock(factor float64) Clock {
 func RealTimeClock() Clock { return NewScaledClock(1) }
 
 func (c *scaledClock) Pace(ctx context.Context, simSeconds float64) error {
-	if !c.anchored {
-		c.anchored = true
-		c.wall0 = time.Now()
-		c.sim0 = simSeconds
-		return ctx.Err()
-	}
-	due := c.wall0.Add(time.Duration((simSeconds - c.sim0) / c.factor * float64(time.Second)))
-	wait := time.Until(due)
-	if wait <= 0 {
-		// Behind schedule (a slow step, or a clock slower than the
-		// machine): never sleep, just let the run catch up.
-		return ctx.Err()
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
-}
-
-// sharedScaledClock is a scaledClock whose anchor is shared by many
-// concurrent runs: the first Pace call from any run anchors the fleet's
-// wall-to-sim mapping, and every site thereafter paces against the same
-// timeline. Fleet sites simulate the same day schedule, so one anchor
-// keeps them marching in lockstep wall time instead of each drifting on
-// a private anchor set by its own boot instant.
-type sharedScaledClock struct {
-	factor float64
-
-	mu       sync.Mutex
-	anchored bool
-	wall0    time.Time
-	sim0     float64
-}
-
-// NewSharedScaledClock returns a Clock like NewScaledClock but safe for
-// concurrent Pace calls from many runs, all paced against one shared
-// anchor. Non-positive factors are treated as 1.
-func NewSharedScaledClock(factor float64) Clock {
-	if factor <= 0 {
-		factor = 1
-	}
-	return &sharedScaledClock{factor: factor}
-}
-
-func (c *sharedScaledClock) Pace(ctx context.Context, simSeconds float64) error {
 	c.mu.Lock()
 	if !c.anchored {
 		c.anchored = true
@@ -105,6 +62,8 @@ func (c *sharedScaledClock) Pace(ctx context.Context, simSeconds float64) error 
 	c.mu.Unlock()
 	wait := time.Until(due)
 	if wait <= 0 {
+		// Behind schedule (a slow step, or a clock slower than the
+		// machine): never sleep, just let the run catch up.
 		return ctx.Err()
 	}
 	timer := time.NewTimer(wait)

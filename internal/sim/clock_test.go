@@ -112,11 +112,11 @@ func TestRunUnderClock(t *testing.T) {
 	}
 }
 
-// TestSharedScaledClockConcurrent: many runs pacing one shared clock is
+// TestSharedScaledClockConcurrent: many runs pacing one scaled clock is
 // race-safe and anchored exactly once — a site that starts later does
 // not re-anchor the fleet's wall-to-sim mapping.
 func TestSharedScaledClockConcurrent(t *testing.T) {
-	c := NewSharedScaledClock(10000)
+	c := NewScaledClock(10000)
 	ctx := context.Background()
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -57,11 +57,6 @@ type RunConfig struct {
 	// environment's forecaster with Injector.WrapForecaster before
 	// constructing the controller.
 	Faults *faults.Injector
-	// DecisionWorkers, when > 1, asks the controller (via
-	// control.WorkerConfigurable) to fan its batched candidate
-	// evaluation across that many goroutines. Decisions are
-	// bit-identical for any value — only wall-clock time changes.
-	DecisionWorkers int
 	// Recorder, when non-nil, receives flight-recorder telemetry: the
 	// metered loop emits a trace.TickRecord at the model-step cadence,
 	// and the recorder is handed to the controller (via trace.Traceable)
@@ -216,11 +211,6 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 	if cfg.Recorder != nil {
 		if t, ok := ctrl.(trace.Traceable); ok {
 			t.SetRecorder(cfg.Recorder)
-		}
-	}
-	if cfg.DecisionWorkers > 0 {
-		if w, ok := ctrl.(control.WorkerConfigurable); ok {
-			w.SetDecisionWorkers(cfg.DecisionWorkers)
 		}
 	}
 	// Tick scratch: one heap value per run, reused across every emission.

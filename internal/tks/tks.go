@@ -98,12 +98,6 @@ type Controller struct {
 // CoolAir one.
 func (c *Controller) SetRecorder(r trace.Recorder) { c.rec = r }
 
-// SetDecisionWorkers implements control.WorkerConfigurable as a no-op:
-// the threshold policy evaluates no candidates, so there is nothing to
-// parallelize. Having the method lets run configs set DecisionWorkers
-// uniformly across controllers.
-func (c *Controller) SetDecisionWorkers(int) {}
-
 // emitDecision records one TKS decision. No-op when tracing is off.
 func (c *Controller) emitDecision(obs control.Observation, cmd cooling.Command) {
 	if c.rec == nil {

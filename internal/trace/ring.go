@@ -53,14 +53,10 @@ type Ring struct {
 
 	reg *Registry
 
-	// Pairing state for the prediction-error histogram: the previous
-	// controller decision's winning prediction, judged against the next
-	// decision's observed hottest inlet.
-	havePrev             bool
-	prevPredHottest      float64
-	prevTime, prevPeriod float64
-	haveMode             bool
-	lastMode             int32
+	// pairer feeds the prediction-error histogram.
+	pairer   PredictionPairer
+	haveMode bool
+	lastMode int32
 }
 
 // NewRing creates a ring recorder with the given capacities (values
@@ -124,32 +120,9 @@ func (r *Ring) RecordDecision(rec *DecisionRecord) {
 		r.reg.BandLoC.Set(rec.BandLo)
 		r.reg.BandHiC.Set(rec.BandHi)
 	}
-
-	// Predicted-vs-realized: the previous controller decision predicted
-	// the hottest inlet one period ahead; this record observed it. Only
-	// consecutive decisions pair up — a day jump (or a guard record in
-	// between) breaks the chain rather than scoring across the gap.
-	if rec.Source == SourceController {
-		if r.havePrev {
-			dt := rec.Time - r.prevTime
-			if dt > 0 && dt <= 1.5*r.prevPeriod {
-				err := rec.ActualHottest - r.prevPredHottest
-				if err < 0 {
-					err = -err
-				}
-				r.reg.PredictionAbsError.Observe(err)
-			}
-		}
-		if pred, ok := rec.WinnerPredictedHottest(); ok {
-			r.havePrev = true
-			r.prevPredHottest = pred
-			r.prevTime = rec.Time
-			r.prevPeriod = rec.PeriodSeconds
-		} else {
-			r.havePrev = false
-		}
-	} else {
-		r.havePrev = false
+	// Predicted-vs-realized: see PredictionPairer.
+	if err, ok := r.pairer.Pair(rec); ok {
+		r.reg.PredictionAbsError.Observe(err)
 	}
 }
 

@@ -49,14 +49,8 @@ type Collector struct {
 	idInsideRH, idCoolingW, idITW, idUtil          ID
 	idPredErr, idWinnerPen, idGuard, idDecisionSec ID
 
-	mu sync.Mutex
-	// Prediction pairing, mirroring trace.Ring: the previous controller
-	// decision's winning prediction is judged against the next
-	// controller decision's observed hottest inlet; guard records and
-	// gaps > 1.5 periods break the chain.
-	havePrev             bool
-	prevPredHottest      float64
-	prevTime, prevPeriod float64
+	mu     sync.Mutex
+	pairer trace.PredictionPairer // feeds prediction_abs_error_celsius
 	// spanAccum sums RecordSpan seconds since the last decision; flushed
 	// into decision_seconds at each decision's sim time.
 	spanAccum float64
@@ -135,27 +129,8 @@ func (c *Collector) RecordDecision(rec *trace.DecisionRecord) {
 		c.db.Append(c.idDecisionSec, t, c.spanAccum)
 		c.spanAccum = 0
 	}
-	if rec.Source == trace.SourceController {
-		if c.havePrev {
-			dt := t - c.prevTime
-			if dt > 0 && dt <= 1.5*c.prevPeriod {
-				err := rec.ActualHottest - c.prevPredHottest
-				if err < 0 {
-					err = -err
-				}
-				c.db.Append(c.idPredErr, t, err)
-			}
-		}
-		if pred, ok := rec.WinnerPredictedHottest(); ok {
-			c.havePrev = true
-			c.prevPredHottest = pred
-			c.prevTime = t
-			c.prevPeriod = rec.PeriodSeconds
-		} else {
-			c.havePrev = false
-		}
-	} else {
-		c.havePrev = false
+	if err, ok := c.pairer.Pair(rec); ok {
+		c.db.Append(c.idPredErr, t, err)
 	}
 	c.mu.Unlock()
 

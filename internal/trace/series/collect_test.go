@@ -1,6 +1,8 @@
 package series
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"coolair/internal/trace"
@@ -158,5 +160,86 @@ func TestStandardMetricsRegistered(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("metric %d = %s, want %s", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPredictionPairingRingAndCollectorAgree pins that the ring's
+// prediction-error histogram and the collector's
+// prediction_abs_error_celsius series come from the same pairing stage:
+// for each record sequence, both see exactly the expected pairs.
+func TestPredictionPairingRingAndCollectorAgree(t *testing.T) {
+	const period = 600.0
+	ctrl := func(ts, actual, pred float64) trace.DecisionRecord {
+		rec := decisionAt(ts, pred)
+		rec.PeriodSeconds = period
+		rec.ActualHottest = actual
+		return rec
+	}
+	noPred := func(ts, actual float64) trace.DecisionRecord {
+		rec := ctrl(ts, actual, 0)
+		rec.NumCandidates, rec.Winner = 0, -1
+		return rec
+	}
+	guard := func(ts float64) trace.DecisionRecord {
+		return trace.DecisionRecord{Time: ts, Source: trace.SourceGuard, Guard: trace.GuardHold, Winner: -1}
+	}
+	for _, tc := range []struct {
+		name string
+		recs []trace.DecisionRecord
+		want []Sample // (pairing record's time, |actual − previous prediction|)
+	}{
+		{"consecutive controller decisions pair",
+			[]trace.DecisionRecord{ctrl(0, 25, 26), ctrl(600, 27, 25.5), ctrl(1200, 24, 24)},
+			[]Sample{{600, 1}, {1200, 1.5}}},
+		{"guard record breaks the chain",
+			[]trace.DecisionRecord{ctrl(0, 25, 26), guard(600), ctrl(1200, 28, 27), ctrl(1800, 26, 26)},
+			[]Sample{{1800, 1}}},
+		{"gap over 1.5 periods breaks the chain",
+			[]trace.DecisionRecord{ctrl(0, 25, 26), ctrl(1000, 30, 26), ctrl(1600, 26.5, 26)},
+			[]Sample{{1600, 0.5}}},
+		{"day jump breaks the chain",
+			[]trace.DecisionRecord{ctrl(0, 25, 26), ctrl(7*86400, 30, 26)},
+			nil},
+		{"record without a prediction scores, then breaks the chain",
+			[]trace.DecisionRecord{ctrl(0, 25, 26), noPred(600, 26.25), ctrl(1200, 29, 26), ctrl(1800, 27, 27)},
+			[]Sample{{600, 0.25}, {1800, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := trace.NewRing(16, 16)
+			db := NewDB(Config{RawCap: 64})
+			c := NewCollector(ring, db, nil)
+			for i := range tc.recs {
+				c.RecordDecision(&tc.recs[i])
+			}
+
+			// Every raw sample, whatever the window-resolution policy.
+			id, _ := db.Lookup(MetricPredErr)
+			var got []Sample
+			for _, p := range db.series[id].collectRaw(Range{From: math.Inf(-1), To: math.Inf(1)}, 64) {
+				got = append(got, Sample{T: p.T, V: p.Last})
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("series pairs = %v, want %v", got, tc.want)
+			}
+			var sum float64
+			want := trace.NewHistogram(0.05, 0.1, 0.2, 0.5, 1, 2, 5)
+			for i, w := range tc.want {
+				if got[i] != w {
+					t.Errorf("series pair %d = %v, want %v", i, got[i], w)
+				}
+				sum += w.V
+				want.Observe(w.V)
+			}
+			h := ring.Metrics().PredictionAbsError
+			if h.Count() != int64(len(tc.want)) || h.Sum() != sum {
+				t.Errorf("ring histogram count=%d sum=%v, want count=%d sum=%v",
+					h.Count(), h.Sum(), len(tc.want), sum)
+			}
+			_, gotBuckets := h.Buckets()
+			_, wantBuckets := want.Buckets()
+			if !reflect.DeepEqual(gotBuckets, wantBuckets) {
+				t.Errorf("ring histogram buckets = %v, want %v", gotBuckets, wantBuckets)
+			}
+		})
 	}
 }
