@@ -58,11 +58,11 @@ func siteSpecs(cfg serveConfig) ([]experiments.FleetSite, error) {
 		}
 		return specs, nil
 	}
-	cl, ok := findClimate(cfg.location)
+	cl, ok := experiments.ClimateByName(cfg.location)
 	if !ok {
 		return nil, fmt.Errorf("unknown location %q", cfg.location)
 	}
-	sys, ok := findSystem(cfg.system)
+	sys, ok := experiments.SystemByName(cfg.system)
 	if !ok {
 		return nil, fmt.Errorf("unknown system %q", cfg.system)
 	}
@@ -92,6 +92,10 @@ func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
 	lab := experiments.NewLab()
 	lab.Store = reg
 	lab.Logger = logger
+	wl, ok := lab.WorkloadByName(cfg.workloadName)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q", cfg.workloadName)
+	}
 
 	workers := cfg.fleetWorkers
 	if workers <= 0 {
@@ -128,7 +132,7 @@ func newFleet(cfg serveConfig, logger *slog.Logger) (*fleet, error) {
 			}
 		}
 
-		sup, err := newSupervisor(siteCfg, spec, reg, runReg, lab, pool.Gate(shared), siteLogger)
+		sup, err := newSupervisor(siteCfg, spec, wl, reg, runReg, lab, pool.Gate(shared), siteLogger)
 		if err != nil {
 			return nil, fmt.Errorf("site %s: %w", spec.ID, err)
 		}

@@ -24,10 +24,8 @@ import (
 	"syscall"
 	"time"
 
-	"coolair/internal/experiments"
 	"coolair/internal/trace"
 	"coolair/internal/trace/httpserve"
-	"coolair/internal/weather"
 
 	"log/slog"
 )
@@ -173,10 +171,3 @@ func buildVersion() string {
 	}
 	return "dev"
 }
-
-// findClimate / findSystem are thin aliases for the experiments-layer
-// lookups (the fleet spec parser uses the same vocabulary, so the CLI
-// and the spec grammar cannot drift apart).
-func findClimate(name string) (weather.Climate, bool) { return experiments.ClimateByName(name) }
-
-func findSystem(name string) (experiments.System, bool) { return experiments.SystemByName(name) }

@@ -127,8 +127,9 @@ func TestServeDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadFlags: unknown locations/systems fail fast instead
-// of serving an empty plane.
+// TestServeRejectsBadFlags: unknown locations/systems/workloads fail
+// fast instead of serving an empty plane (or, for a workload, silently
+// running the Facebook trace).
 func TestServeRejectsBadFlags(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	if err := run(context.Background(), serveConfig{addr: "127.0.0.1:0", location: "atlantis", system: "baseline"}, logger, nil); err == nil {
@@ -137,8 +138,12 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), serveConfig{addr: "127.0.0.1:0", location: "newark", system: "hal9000"}, logger, nil); err == nil {
 		t.Fatal("unknown system accepted")
 	}
+	err := run(context.Background(), serveConfig{addr: "127.0.0.1:0", location: "newark", system: "baseline", workloadName: "hadoop"}, logger, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "hadoop"`) {
+		t.Fatalf("unknown workload: err = %v, want an unknown-workload error", err)
+	}
 	// A bind failure surfaces synchronously too.
-	if err := run(context.Background(), serveConfig{addr: "256.0.0.1:bad", location: "newark", system: "baseline"}, logger, nil); err == nil {
+	if err := run(context.Background(), serveConfig{addr: "256.0.0.1:bad", location: "newark", system: "baseline", workloadName: "facebook"}, logger, nil); err == nil {
 		t.Fatal("unusable address accepted")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"coolair/internal/faults"
 	"coolair/internal/sim"
 	"coolair/internal/store"
-	"coolair/internal/tks"
 	"coolair/internal/trace"
 	"coolair/internal/trace/series"
 	"coolair/internal/weather"
@@ -153,28 +152,15 @@ const (
 	fleetRingTicks     = 4096
 )
 
-// newSupervisor assembles one site's supervisor: workload, day
-// schedule, fault plan, and the fleet's shared model lab, so N sites
-// train — or restore — each fidelity's model exactly once.
-func newSupervisor(cfg serveConfig, site experiments.FleetSite, reg, runReg *store.Registry,
+// newSupervisor assembles one site's supervisor: the workload its
+// system runs (wl is the fleet's base trace), day schedule, fault plan,
+// and the fleet's shared model lab, so N sites train — or restore —
+// each fidelity's model exactly once.
+func newSupervisor(cfg serveConfig, site experiments.FleetSite, wl *workload.Trace, reg, runReg *store.Registry,
 	lab *experiments.Lab, clock *sim.GatedClock, logger *slog.Logger) (*supervisor, error) {
 	sys := site.System
-	wl := lab.Facebook()
-	if cfg.workloadName == "nutch" {
-		wl = lab.Nutch()
-	}
-	if sys.Deferrable {
-		wl = wl.WithDeadlines(6 * 3600)
-	}
-
-	var days []int
-	if cfg.year {
-		days = sim.WeekdaySample()
-	} else {
-		for d := 0; d < cfg.days; d++ {
-			days = append(days, (cfg.startDay+d)%weather.DaysPerYear)
-		}
-	}
+	wl = sys.Workload(wl)
+	days := experiments.RunDays(cfg.year, cfg.days, cfg.startDay)
 
 	var inj *faults.Injector
 	if cfg.faultSeed != 0 {
@@ -549,14 +535,17 @@ func (s *supervisor) trainDegraded(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		env, err := sim.NewEnv(s.cl, s.sys.Fidelity)
+		// The TKS baseline on the site's own plant.
+		fallback := experiments.BaselineSystem()
+		fallback.Fidelity = s.sys.Fidelity
+		env, ctrl, err := s.lab.NewRunContext(dctx, s.cl, fallback)
 		if err != nil {
 			s.logger.Warn("degraded baseline unavailable", "err", err)
 			return
 		}
 		cfg := s.baseRunCfg(dctx)
 		cfg.KeepAllActive = true
-		if _, err := sim.Run(env, tks.Baseline(), cfg); err != nil && !errors.Is(err, context.Canceled) {
+		if _, err := sim.Run(env, ctrl, cfg); err != nil && !errors.Is(err, context.Canceled) {
 			s.logger.Warn("degraded baseline run stopped", "err", err)
 		}
 	}()

@@ -11,13 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"coolair/internal/core"
 	"coolair/internal/experiments"
-	"coolair/internal/sim"
 	"coolair/internal/trace"
-	"coolair/internal/weather"
 )
 
 func main() {
@@ -31,31 +27,23 @@ func main() {
 	traceOut := flag.String("trace", "", "write a flight-recorder JSONL trace to this file")
 	flag.Parse()
 
-	cl, ok := findClimate(*location)
+	cl, ok := experiments.ClimateByName(*location)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown location %q\n", *location)
 		os.Exit(2)
 	}
-	sys, ok := findSystem(*system)
+	sys, ok := experiments.SystemByName(*system)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
 		os.Exit(2)
 	}
-
 	lab := experiments.NewLab()
-	wl := lab.Facebook()
-	if *workloadName == "nutch" {
-		wl = lab.Nutch()
+	wl, ok := lab.WorkloadByName(*workloadName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadName)
+		os.Exit(2)
 	}
-
-	var runDays []int
-	if *year {
-		runDays = sim.WeekdaySample()
-	} else {
-		for d := 0; d < *days; d++ {
-			runDays = append(runDays, (*startDay+d)%weather.DaysPerYear)
-		}
-	}
+	runDays := experiments.RunDays(*year, *days, *startDay)
 
 	// Size the ring to the whole run (warm-up evenings included for the
 	// decision ring) so the trace keeps every record instead of the most
@@ -114,37 +102,4 @@ func writeTrace(path string, ring *trace.Ring) error {
 		return err
 	}
 	return f.Close()
-}
-
-func findClimate(name string) (weather.Climate, bool) {
-	for _, c := range weather.StudyLocations() {
-		if strings.EqualFold(c.Name, name) {
-			return c, true
-		}
-	}
-	return weather.Climate{}, false
-}
-
-func findSystem(name string) (experiments.System, bool) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return experiments.BaselineSystem(), true
-	case "temperature":
-		return experiments.CoolAirSystem(core.VersionTemperature), true
-	case "energy":
-		return experiments.CoolAirSystem(core.VersionEnergy), true
-	case "variation":
-		return experiments.CoolAirSystem(core.VersionVariation), true
-	case "all-nd", "allnd":
-		return experiments.CoolAirSystem(core.VersionAllND), true
-	case "all-def", "alldef":
-		s := experiments.CoolAirSystem(core.VersionAllDEF)
-		s.Deferrable = true
-		return s, true
-	case "energy-def":
-		s := experiments.CoolAirSystem(core.VersionEnergyDEF)
-		s.Deferrable = true
-		return s, true
-	}
-	return experiments.System{}, false
 }

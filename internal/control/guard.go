@@ -3,6 +3,7 @@ package control
 import (
 	"log/slog"
 	"math"
+	"slices"
 	"time"
 
 	"coolair/internal/cooling"
@@ -119,22 +120,16 @@ type Guard struct {
 	inner Controller
 	cfg   GuardConfig
 
-	sensors  []sensorGuard
-	outside  scalarGuard
-	outRH    scalarGuard
-	insideRH scalarGuard
+	// st is the guard's dynamic state — sensor health, fail-safe
+	// posture, the last good command, and the intervention report — in
+	// the exported form StateSnapshot hands out and RestoreState takes.
+	st GuardState
 
 	// cache of the last sanitized observation, keyed by its timestamp
 	// (Observe and Decide both see each control-period snapshot).
 	cachedTime float64
 	cached     sanitized
 	haveCache  bool
-
-	consecFails int
-	failSafeOn  bool
-	lastCmd     cooling.Command
-	haveLast    bool
-	fsCompOn    bool
 
 	// Flight recorder: interventions are annotated as SourceGuard
 	// records. drec is struct-held scratch so emitting stays
@@ -151,8 +146,6 @@ type Guard struct {
 	// log, when non-nil, receives structured warnings for interventions:
 	// retries, holds, and fail-safe engage/exit.
 	log *slog.Logger
-
-	report GuardReport
 }
 
 // SetRecorder implements trace.Traceable: the guard annotates its
@@ -175,23 +168,6 @@ func (g *Guard) SetRecorder(r trace.Recorder) {
 // disables logging). Logging happens only on the rare intervention
 // paths, never per healthy decision.
 func (g *Guard) SetLogger(l *slog.Logger) { g.log = l }
-
-// sensorGuard is the per-sensor sanitation state.
-type sensorGuard struct {
-	lastGood     float64
-	lastGoodTime float64
-	hasGood      bool
-	lastRaw      float64
-	hasRaw       bool
-	flatSince    float64
-}
-
-// scalarGuard sanitizes a single scalar channel with range and NaN
-// checks plus last-known-good substitution (no quorum available).
-type scalarGuard struct {
-	lastGood float64
-	hasGood  bool
-}
 
 // sanitized is the outcome of sanitizing one observation.
 type sanitized struct {
@@ -220,7 +196,7 @@ func (g *Guard) Inner() Controller { return g.inner }
 
 // Report returns the interventions counted so far.
 func (g *Guard) Report() GuardReport {
-	r := g.report
+	r := g.st.Report
 	if r.FailSafeEngagements == 0 {
 		r.FirstFailSafeTime = -1
 	}
@@ -229,7 +205,7 @@ func (g *Guard) Report() GuardReport {
 
 // FailSafeActive reports whether the guard is currently serving
 // decisions from the fail-safe policy.
-func (g *Guard) FailSafeActive() bool { return g.failSafeOn }
+func (g *Guard) FailSafeActive() bool { return g.st.FailSafeOn }
 
 // Observe implements Monitor: sanitize the snapshot (keeping the
 // guard's sensor state fresh between decisions) and forward it when the
@@ -296,7 +272,7 @@ func (g *Guard) decide(obs Observation) (cooling.Command, error) {
 	if !ok {
 		// One retry: transient state inside the controller (a model
 		// hiccup, a scheduling edge) may clear on a second attempt.
-		g.report.DecideRetries++
+		g.st.Report.DecideRetries++
 		if g.log != nil {
 			g.log.Warn("guard: retrying inner decision", "time", s.obs.Time)
 		}
@@ -304,27 +280,27 @@ func (g *Guard) decide(obs Observation) (cooling.Command, error) {
 		retried = true
 	}
 	if !ok {
-		g.consecFails++
-		if g.consecFails >= g.cfg.MaxConsecFailures {
+		g.st.ConsecFails++
+		if g.st.ConsecFails >= g.cfg.MaxConsecFailures {
 			fs := g.decideFailSafe(s)
 			g.emitGuard(trace.GuardFailSafeControl, s.obs, fs)
 			return fs, nil
 		}
 		// Below K failures: hold the last good command (or stay closed
 		// if there has never been one).
-		g.report.HoldFallbacks++
+		g.st.Report.HoldFallbacks++
 		held := cooling.Command{Mode: cooling.ModeClosed}
-		if g.haveLast {
-			held = g.lastCmd
+		if g.st.HaveLast {
+			held = g.st.LastCmd
 		}
 		g.emitGuard(trace.GuardHold, s.obs, held)
 		return held, nil
 	}
 
-	g.consecFails = 0
+	g.st.ConsecFails = 0
 	g.exitFailSafe()
-	g.lastCmd = cmd
-	g.haveLast = true
+	g.st.LastCmd = cmd
+	g.st.HaveLast = true
 	if retried {
 		g.emitGuard(trace.GuardRetry, s.obs, cmd)
 	}
@@ -369,14 +345,14 @@ func (g *Guard) tryInner(obs Observation) (cooling.Command, bool) {
 		g.innerSec += time.Since(mark).Seconds() //coolair:allow-wallclock span timing: innerSec feeds Decide's overhead span, never a decision
 	}
 	if err != nil {
-		g.report.DecideErrors++
+		g.st.Report.DecideErrors++
 		if g.log != nil {
 			g.log.Warn("guard: inner controller error", "time", obs.Time, "err", err)
 		}
 		return cooling.Command{}, false
 	}
 	if cmd.Validate() != nil {
-		g.report.InvalidCommands++
+		g.st.Report.InvalidCommands++
 		if g.log != nil {
 			g.log.Warn("guard: inner controller returned invalid command", "time", obs.Time)
 		}
@@ -389,19 +365,19 @@ func (g *Guard) tryInner(obs Observation) (cooling.Command, bool) {
 // TKS-style hottest-sensor compressor cycling on the surviving sensors,
 // AC on flat-out when no sensor survives.
 func (g *Guard) decideFailSafe(s sanitized) cooling.Command {
-	if !g.failSafeOn {
-		g.failSafeOn = true
-		g.fsCompOn = false
-		g.report.FailSafeEngagements++
-		if g.report.FailSafeEngagements == 1 {
-			g.report.FirstFailSafeTime = s.obs.Time
+	if !g.st.FailSafeOn {
+		g.st.FailSafeOn = true
+		g.st.FailSafeCompressor = false
+		g.st.Report.FailSafeEngagements++
+		if g.st.Report.FailSafeEngagements == 1 {
+			g.st.Report.FirstFailSafeTime = s.obs.Time
 		}
 		if g.log != nil {
 			g.log.Warn("guard: fail-safe engaged", "time", s.obs.Time,
-				"dead_sensors", s.anyDead, "consec_fails", g.consecFails)
+				"dead_sensors", s.anyDead, "consec_fails", g.st.ConsecFails)
 		}
 	}
-	g.report.FailSafeDecisions++
+	g.st.Report.FailSafeDecisions++
 
 	hottest := math.Inf(-1)
 	survivors := 0
@@ -420,11 +396,11 @@ func (g *Guard) decideFailSafe(s sanitized) cooling.Command {
 	}
 	sp := float64(g.cfg.FailSafeSetpoint)
 	if hottest > sp {
-		g.fsCompOn = true
+		g.st.FailSafeCompressor = true
 	} else if hottest < sp-float64(g.cfg.FailSafeCycleLow) {
-		g.fsCompOn = false
+		g.st.FailSafeCompressor = false
 	}
-	if g.fsCompOn {
+	if g.st.FailSafeCompressor {
 		return cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}
 	}
 	return cooling.Command{Mode: cooling.ModeACFan}
@@ -433,9 +409,9 @@ func (g *Guard) decideFailSafe(s sanitized) cooling.Command {
 // exitFailSafe returns control to the inner controller once the
 // degradation cause has cleared (sensors alive again, Decide healthy).
 func (g *Guard) exitFailSafe() {
-	if g.failSafeOn {
-		g.failSafeOn = false
-		g.fsCompOn = false
+	if g.st.FailSafeOn {
+		g.st.FailSafeOn = false
+		g.st.FailSafeCompressor = false
 		if g.log != nil {
 			g.log.Warn("guard: fail-safe exited, inner controller healthy again")
 		}
@@ -453,10 +429,10 @@ func (g *Guard) sanitize(obs Observation) sanitized {
 
 		return g.cached
 	}
-	g.report.Observations++
+	g.st.Report.Observations++
 
-	if len(g.sensors) != len(obs.PodInlet) {
-		g.sensors = make([]sensorGuard, len(obs.PodInlet))
+	if len(g.st.Sensors) != len(obs.PodInlet) {
+		g.st.Sensors = make([]SensorGuardState, len(obs.PodInlet))
 	}
 	out := obs
 	out.PodInlet = append([]units.Celsius(nil), obs.PodInlet...)
@@ -465,31 +441,31 @@ func (g *Guard) sanitize(obs Observation) sanitized {
 	med, nFinite := medianFinite(obs.PodInlet)
 	for i := range obs.PodInlet {
 		v := float64(obs.PodInlet[i])
-		sg := &g.sensors[i]
+		sg := &g.st.Sensors[i]
 		good := g.acceptReading(sg, v, obs.Time, med, nFinite)
 		if good {
-			sg.lastGood = v
-			sg.lastGoodTime = obs.Time
-			sg.hasGood = true
+			sg.LastGood = v
+			sg.LastGoodTime = obs.Time
+			sg.HasGood = true
 			s.alive[i] = true
 			continue
 		}
-		if sg.hasGood && obs.Time-sg.lastGoodTime <= g.cfg.StalenessSeconds {
-			out.PodInlet[i] = units.Celsius(sg.lastGood)
-			g.report.Substitutions++
+		if sg.HasGood && obs.Time-sg.LastGoodTime <= g.cfg.StalenessSeconds {
+			out.PodInlet[i] = units.Celsius(sg.LastGood)
+			g.st.Report.Substitutions++
 			s.alive[i] = true
 			continue
 		}
 		// Budget blown: the sensor is dead. Feed the inner controller
 		// the pod median (or the last good value as a final resort) so
 		// it keeps receiving finite numbers, but flag the degradation.
-		g.report.DeadSensorObs++
+		g.st.Report.DeadSensorObs++
 		s.anyDead = true
 		switch {
 		case nFinite > 0:
 			out.PodInlet[i] = units.Celsius(med)
-		case sg.hasGood:
-			out.PodInlet[i] = units.Celsius(sg.lastGood)
+		case sg.HasGood:
+			out.PodInlet[i] = units.Celsius(sg.LastGood)
 		default:
 			out.PodInlet[i] = g.cfg.FailSafeSetpoint
 		}
@@ -498,11 +474,11 @@ func (g *Guard) sanitize(obs Observation) sanitized {
 	// SetTemp/SetRH (not direct field writes) drop the humidity-ratio
 	// memo carried by the sample, so Abs() downstream of the guard
 	// reflects the sanitized values rather than the raw reading.
-	out.Outside.SetTemp(units.Celsius(g.sanitizeScalar(&g.outside,
+	out.Outside.SetTemp(units.Celsius(g.sanitizeScalar(&g.st.Outside,
 		float64(obs.Outside.Temp), float64(g.cfg.MinValid)-20, float64(g.cfg.MaxValid), 15)))
-	out.Outside.SetRH(units.RelHumidity(g.sanitizeScalar(&g.outRH,
+	out.Outside.SetRH(units.RelHumidity(g.sanitizeScalar(&g.st.OutsideRH,
 		float64(obs.Outside.RH), 0, 100, 50)))
-	out.InsideRH = units.RelHumidity(g.sanitizeScalar(&g.insideRH,
+	out.InsideRH = units.RelHumidity(g.sanitizeScalar(&g.st.InsideRH,
 		float64(obs.InsideRH), 0, 100, 50))
 
 	s.obs = out
@@ -514,40 +490,40 @@ func (g *Guard) sanitize(obs Observation) sanitized {
 
 // acceptReading applies the NaN, range, rate, quorum, and flatline
 // checks to one pod reading.
-func (g *Guard) acceptReading(sg *sensorGuard, v, t, med float64, nFinite int) bool {
+func (g *Guard) acceptReading(sg *SensorGuardState, v, t, med float64, nFinite int) bool {
 	defer func() {
 		// Flatline bookkeeping runs on every reading, accepted or not:
 		// a changed value re-arms the detector.
-		if !sg.hasRaw || v != sg.lastRaw { //coolair:allow-floateq flatline = bit-identical reading
+		if !sg.HasRaw || v != sg.LastRaw { //coolair:allow-floateq flatline = bit-identical reading
 
-			sg.flatSince = t
+			sg.FlatSince = t
 		}
-		sg.lastRaw = v
-		sg.hasRaw = true
+		sg.LastRaw = v
+		sg.HasRaw = true
 	}()
 
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		g.report.NaNRejects++
+		g.st.Report.NaNRejects++
 		return false
 	}
 	if v < float64(g.cfg.MinValid) || v > float64(g.cfg.MaxValid) {
-		g.report.RangeRejects++
+		g.st.Report.RangeRejects++
 		return false
 	}
-	if sg.hasGood && t > sg.lastGoodTime {
-		rate := math.Abs(v-sg.lastGood) / (t - sg.lastGoodTime) * 60
+	if sg.HasGood && t > sg.LastGoodTime {
+		rate := math.Abs(v-sg.LastGood) / (t - sg.LastGoodTime) * 60
 		if rate > g.cfg.MaxRatePerMinute {
-			g.report.RateRejects++
+			g.st.Report.RateRejects++
 			return false
 		}
 	}
 	if nFinite >= 3 && math.Abs(v-med) > float64(g.cfg.QuorumBand) {
-		g.report.QuorumRejects++
+		g.st.Report.QuorumRejects++
 		return false
 	}
-	if sg.hasRaw && v == sg.lastRaw && t-sg.flatSince >= g.cfg.FlatlineSeconds { //coolair:allow-floateq flatline = bit-identical reading
+	if sg.HasRaw && v == sg.LastRaw && t-sg.FlatSince >= g.cfg.FlatlineSeconds { //coolair:allow-floateq flatline = bit-identical reading
 
-		g.report.FlatlineRejects++
+		g.st.Report.FlatlineRejects++
 		return false
 	}
 	return true
@@ -556,20 +532,20 @@ func (g *Guard) acceptReading(sg *sensorGuard, v, t, med float64, nFinite int) b
 // sanitizeScalar cleans one scalar channel: NaN/Inf and out-of-range
 // readings fall back to the last good value, or to fallback before any
 // good reading exists.
-func (g *Guard) sanitizeScalar(sg *scalarGuard, v, lo, hi, fallback float64) float64 {
+func (g *Guard) sanitizeScalar(sg *ScalarGuardState, v, lo, hi, fallback float64) float64 {
 	if !math.IsNaN(v) && !math.IsInf(v, 0) && v >= lo && v <= hi {
-		sg.lastGood = v
-		sg.hasGood = true
+		sg.LastGood = v
+		sg.HasGood = true
 		return v
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		g.report.NaNRejects++
+		g.st.Report.NaNRejects++
 	} else {
-		g.report.RangeRejects++
+		g.st.Report.RangeRejects++
 	}
-	if sg.hasGood {
-		g.report.Substitutions++
-		return sg.lastGood
+	if sg.HasGood {
+		g.st.Report.Substitutions++
+		return sg.LastGood
 	}
 	return fallback
 }
@@ -600,8 +576,9 @@ func medianFinite(v []units.Celsius) (float64, int) {
 	return (fin[n/2-1] + fin[n/2]) / 2, n
 }
 
-// SensorGuardState is one pod sensor's sanitation state in snapshot
-// form (see sensorGuard).
+// SensorGuardState is one pod sensor's sanitation state: its last
+// accepted reading and when it was taken, and the last raw reading with
+// the time it started repeating (the flatline detector).
 type SensorGuardState struct {
 	LastGood     float64
 	LastGoodTime float64
@@ -611,18 +588,21 @@ type SensorGuardState struct {
 	FlatSince    float64
 }
 
-// ScalarGuardState is one scalar channel's sanitation state in snapshot
-// form (see scalarGuard).
+// ScalarGuardState is one scalar channel's sanitation state: range and
+// NaN checks with last-known-good substitution (no quorum available).
 type ScalarGuardState struct {
 	LastGood float64
 	HasGood  bool
 }
 
-// GuardState is the Guard's dynamic state in snapshot form: exported
-// and gob-encodable so a run-state checkpoint restores sensor health,
-// fail-safe posture, and the intervention report across a daemon
-// restart (internal/store). The per-tick sanitized-observation cache is
-// deliberately not part of it — it is recomputed on the next decision.
+// GuardState is the Guard's dynamic state, the same value the guard
+// runs on: exported and gob-encodable so a run-state checkpoint
+// restores sensor health, fail-safe posture, and the intervention
+// report across a daemon restart (internal/store). Its gob field names
+// are the run-state file format. The per-tick sanitized-observation
+// cache is deliberately not part of it — it is recomputed on the next
+// decision. FailSafeCompressor is the fail-safe policy's compressor
+// cycle (on/off hysteresis).
 type GuardState struct {
 	Sensors            []SensorGuardState
 	Outside            ScalarGuardState
@@ -638,27 +618,8 @@ type GuardState struct {
 
 // StateSnapshot captures the guard's dynamic state for checkpointing.
 func (g *Guard) StateSnapshot() GuardState {
-	snapScalar := func(sg scalarGuard) ScalarGuardState {
-		return ScalarGuardState{LastGood: sg.lastGood, HasGood: sg.hasGood}
-	}
-	s := GuardState{
-		Outside:            snapScalar(g.outside),
-		OutsideRH:          snapScalar(g.outRH),
-		InsideRH:           snapScalar(g.insideRH),
-		ConsecFails:        g.consecFails,
-		FailSafeOn:         g.failSafeOn,
-		FailSafeCompressor: g.fsCompOn,
-		LastCmd:            g.lastCmd,
-		HaveLast:           g.haveLast,
-		Report:             g.report,
-	}
-	s.Sensors = make([]SensorGuardState, len(g.sensors))
-	for i, sg := range g.sensors {
-		s.Sensors[i] = SensorGuardState{
-			LastGood: sg.lastGood, LastGoodTime: sg.lastGoodTime, HasGood: sg.hasGood,
-			LastRaw: sg.lastRaw, HasRaw: sg.hasRaw, FlatSince: sg.flatSince,
-		}
-	}
+	s := g.st
+	s.Sensors = slices.Clone(g.st.Sensors)
 	return s
 }
 
@@ -666,25 +627,8 @@ func (g *Guard) StateSnapshot() GuardState {
 // sanitized-observation cache is dropped so the next Observe/Decide
 // sanitizes afresh against the restored sensor history.
 func (g *Guard) RestoreState(s GuardState) {
-	g.sensors = make([]sensorGuard, len(s.Sensors))
-	for i, sg := range s.Sensors {
-		g.sensors[i] = sensorGuard{
-			lastGood: sg.LastGood, lastGoodTime: sg.LastGoodTime, hasGood: sg.HasGood,
-			lastRaw: sg.LastRaw, hasRaw: sg.HasRaw, flatSince: sg.FlatSince,
-		}
-	}
-	restoreScalar := func(ss ScalarGuardState) scalarGuard {
-		return scalarGuard{lastGood: ss.LastGood, hasGood: ss.HasGood}
-	}
-	g.outside = restoreScalar(s.Outside)
-	g.outRH = restoreScalar(s.OutsideRH)
-	g.insideRH = restoreScalar(s.InsideRH)
-	g.consecFails = s.ConsecFails
-	g.failSafeOn = s.FailSafeOn
-	g.fsCompOn = s.FailSafeCompressor
-	g.lastCmd = s.LastCmd
-	g.haveLast = s.HaveLast
-	g.report = s.Report
+	g.st = s
+	g.st.Sensors = slices.Clone(s.Sensors)
 	g.haveCache = false
 	g.cached = sanitized{}
 	g.cachedTime = 0

@@ -628,66 +628,3 @@ func (c *CoolAir) manageServers() {
 
 // Decisions returns how many times the optimizer ran (diagnostics).
 func (c *CoolAir) Decisions() int { return c.decisions }
-
-// CandidateEval is the diagnostic scoring of one candidate regime.
-type CandidateEval struct {
-	Cmd     cooling.Command
-	Penalty float64
-	// PredictedHottest is the predicted hottest-pod temperature at the
-	// end of the horizon.
-	PredictedHottest units.Celsius
-	// PredictedPower is the predicted average cooling power.
-	PredictedPower units.Watts
-}
-
-// EvaluateCandidates scores every candidate regime for the current
-// state without committing to a decision — the observability hook for
-// debugging and for the example programs. Returns nil before enough
-// monitoring history exists. It runs the same batched sweeps as Decide
-// over the same cached menu and scratch (single-goroutine, like Decide
-// and Observe), so the diagnostic view cannot drift from the decision
-// path; only the result slice allocates.
-func (c *CoolAir) EvaluateCandidates(obs control.Observation) []CandidateEval {
-	if c.haveSnaps < 2 {
-		return nil
-	}
-	model.StateFromSnapshotsInto(&c.curState, c.prevSnap, c.curSnap)
-	state := c.curState
-	const horizon = model.HorizonSteps
-	n := len(c.cands.modes)
-	for i := 0; i < n; i++ {
-		dst := c.schedArena[i*horizon : i*horizon : (i+1)*horizon]
-		_, err := c.plant.PreviewScheduleInto(dst, c.candidate(i), model.ModelStepSeconds, horizon)
-		c.skip[i] = err != nil
-	}
-	batchErr := c.model.PredictWindowBatch(&c.batch, state, c.schedArena, horizon, c.skip)
-	out := make([]CandidateEval, 0, n)
-	c.powMemo = c.powMemo[:0]
-	for i := 0; i < n; i++ {
-		if c.skip[i] || batchErr != nil || c.batch.Failed(i) {
-			continue
-		}
-		sched := c.schedArena[i*horizon : (i+1)*horizon]
-		rollout := c.batch.Rollout(i)
-		c.powers = c.powers[:0]
-		var pw float64
-		for _, s := range sched {
-			w := c.predictPowerMemo(s)
-			c.powers = append(c.powers, w)
-			pw += float64(w)
-		}
-		ev := CandidateEval{
-			Cmd:     c.candidate(i),
-			Penalty: c.opts.Utility.PenaltyWithPowers(c.band, state, rollout, sched, obs.PodActive, c.powers),
-		}
-		last := rollout[len(rollout)-1]
-		for _, v := range last.PodTemp {
-			if v > ev.PredictedHottest {
-				ev.PredictedHottest = v
-			}
-		}
-		ev.PredictedPower = units.Watts(pw / float64(len(sched)))
-		out = append(out, ev)
-	}
-	return out
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"coolair/internal/core"
 	"coolair/internal/model"
 	"coolair/internal/sim"
 	"coolair/internal/units"
@@ -22,15 +23,8 @@ type Fig1Result struct {
 // climate under the plain TKS (free-cooling) controller with a steady
 // 50%-disk-utilization workload.
 func (l *Lab) RunFig1() (*Fig1Result, error) {
-	env, err := sim.NewEnv(weather.Newark, sim.RealSim)
-	if err != nil {
-		return nil, err
-	}
 	// A steady half-load keeps disks ~50% utilized as in the paper.
-	tr := steadyTrace(0.5)
-	res, err := sim.Run(env, baselineController(), sim.RunConfig{
-		Days: []int{186, 187}, Trace: tr, KeepAllActive: true, RecordSeries: true,
-	})
+	res, err := l.Run(weather.Newark, BaselineSystem(), []int{186, 187}, steadyTrace(0.5), true)
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +111,11 @@ func (l *Lab) RunFig5() (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, err := sim.NewEnv(weather.Newark, sim.RealSim)
+	env, ctrl, err := l.NewRun(weather.Newark, BaselineSystem())
 	if err != nil {
 		return nil, err
 	}
-	env.Model = m
-	res, err := sim.Run(env, baselineController(), sim.RunConfig{
+	res, err := sim.Run(env, ctrl, sim.RunConfig{
 		Days: []int{120, 170}, Trace: l.Facebook(),
 		KeepAllActive: true, CollectSnapshots: true,
 	})
@@ -167,13 +160,7 @@ type DayRunResult struct {
 // RunFig6 reproduces the baseline day run (Figure 6): the baseline
 // system on the Parasol infrastructure for one summer day.
 func (l *Lab) RunFig6() (*DayRunResult, error) {
-	env, err := sim.NewEnv(weather.Newark, sim.RealSim)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(env, baselineController(), sim.RunConfig{
-		Days: []int{182}, Trace: l.Facebook(), KeepAllActive: true, RecordSeries: true,
-	})
+	res, err := l.Run(weather.Newark, BaselineSystem(), []int{182}, l.Facebook(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -186,16 +173,7 @@ func (l *Lab) RunFig6() (*DayRunResult, error) {
 func (l *Lab) RunFig7() (real, smooth *DayRunResult, err error) {
 	day := []int{166}
 	mk := func(fid sim.Fidelity) (*DayRunResult, error) {
-		m, err := l.Model(fid)
-		if err != nil {
-			return nil, err
-		}
-		env, err := sim.NewEnv(weather.Newark, fid)
-		if err != nil {
-			return nil, err
-		}
-		env.Model = m
-		sys := CoolAirSystem(coreVersionAllND())
+		sys := CoolAirSystem(core.VersionAllND)
 		sys.Fidelity = fid
 		res, err := l.Run(weather.Newark, sys, day, l.Facebook(), true)
 		if err != nil {

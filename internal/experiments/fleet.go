@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"coolair/internal/core"
 	"coolair/internal/weather"
 )
 
@@ -124,21 +123,6 @@ func ParseFleetSpec(spec string) ([]FleetSite, error) {
 	return sites, nil
 }
 
-// worldSubsample returns n climates evenly subsampled from the world
-// grid — the same formula RunWorldStudy uses, so a fleet spec world:N
-// runs exactly the sites the offline sweep would.
-func worldSubsample(n int) []weather.Climate {
-	grid := weather.WorldGrid()
-	if n >= len(grid) {
-		return grid
-	}
-	sub := make([]weather.Climate, 0, n)
-	for i := 0; i < n; i++ {
-		sub = append(sub, grid[i*len(grid)/n])
-	}
-	return sub
-}
-
 // siteID lowercases a climate name into the fleet id alphabet
 // [a-z0-9+-] (anything else becomes '-'), matching the store layer's
 // filename sanitizer so the id round-trips through shard paths.
@@ -153,40 +137,4 @@ func siteID(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// ClimateByName finds a study location by case-insensitive name.
-func ClimateByName(name string) (weather.Climate, bool) {
-	for _, c := range weather.StudyLocations() {
-		if strings.EqualFold(c.Name, name) {
-			return c, true
-		}
-	}
-	return weather.Climate{}, false
-}
-
-// SystemByName maps the CLI system names to their configurations (the
-// coolair-serve -system vocabulary).
-func SystemByName(name string) (System, bool) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return BaselineSystem(), true
-	case "temperature":
-		return CoolAirSystem(core.VersionTemperature), true
-	case "energy":
-		return CoolAirSystem(core.VersionEnergy), true
-	case "variation":
-		return CoolAirSystem(core.VersionVariation), true
-	case "all-nd", "allnd":
-		return CoolAirSystem(core.VersionAllND), true
-	case "all-def", "alldef":
-		s := CoolAirSystem(core.VersionAllDEF)
-		s.Deferrable = true
-		return s, true
-	case "energy-def":
-		s := CoolAirSystem(core.VersionEnergyDEF)
-		s.Deferrable = true
-		return s, true
-	}
-	return System{}, false
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"coolair/internal/core"
 	"coolair/internal/weather"
 )
 
@@ -19,7 +20,7 @@ import (
 func TestRunGridMetamorphicDeterminism(t *testing.T) {
 	l := sharedLab(t)
 	cls := []weather.Climate{weather.Newark, weather.Santiago, weather.Iceland}
-	systems := []System{BaselineSystem(), CoolAirSystem(coreVersionAllND())}
+	systems := []System{BaselineSystem(), CoolAirSystem(core.VersionAllND)}
 	days := []int{150}
 	wl := l.Facebook()
 

@@ -27,9 +27,6 @@ import (
 	"coolair/internal/workload"
 )
 
-// baselineController builds a fresh baseline (TKS-extended) controller.
-func baselineController() *tks.Controller { return tks.Baseline() }
-
 // Lab holds the shared, reusable state of the evaluation: the trained
 // Cooling Models (one per infrastructure fidelity — the paper trains on
 // Parasol monitoring data once and reuses the models everywhere) and the
@@ -248,7 +245,9 @@ type System struct {
 	Fidelity sim.Fidelity
 	// ForecastBias perturbs the weather forecast (the ±5°C study).
 	ForecastBias float64
-	// Deferrable wraps the workload with 6-hour start deadlines.
+	// Deferrable marks a system that schedules deferrable jobs: its
+	// workload carries start deadlines (see Workload). CoolAirSystem
+	// sets it for the versions with a temporal scheduler.
 	Deferrable bool
 }
 
@@ -259,7 +258,20 @@ func BaselineSystem() System {
 
 // CoolAirSystem returns a CoolAir version on the smooth infrastructure.
 func CoolAirSystem(v core.Version) System {
-	return System{Name: v.String(), Version: v, Fidelity: sim.SmoothSim}
+	return System{
+		Name: v.String(), Version: v, Fidelity: sim.SmoothSim,
+		Deferrable: core.VersionOptions(v, core.DefaultBandConfig()).Temporal != core.TemporalNone,
+	}
+}
+
+// Workload returns the trace the system runs given the base workload:
+// a deferrable system's jobs may start up to 6 hours after arrival (the
+// paper's start deadline for deferrable workloads).
+func (s System) Workload(base *workload.Trace) *workload.Trace {
+	if s.Deferrable && base != nil {
+		return base.WithDeadlines(6 * 3600)
+	}
+	return base
 }
 
 // StandardSystems returns the five systems of Figures 8–10 in
@@ -275,53 +287,16 @@ func StandardSystems() []System {
 }
 
 // Run evaluates one system at one climate over the given days with the
-// given workload trace, recording to the lab's Recorder (if any).
+// given base workload, recording to the lab's Recorder (if any).
 func (l *Lab) Run(cl weather.Climate, sys System, days []int, trace *workload.Trace, record bool) (*sim.Result, error) {
-	return l.RunRecorded(cl, sys, days, trace, record, l.Recorder)
-}
-
-// RunRecorded evaluates like Run but with an explicit flight recorder
-// for this run only (nil turns tracing off regardless of l.Recorder).
-func (l *Lab) RunRecorded(cl weather.Climate, sys System, days []int, trace *workload.Trace, record bool, rec trc.Recorder) (*sim.Result, error) {
-	env, err := sim.NewEnv(cl, sys.Fidelity)
+	env, ctrl, err := l.NewRun(cl, sys)
 	if err != nil {
 		return nil, err
 	}
-	if sys.ForecastBias != 0 {
-		env.SetForecast(weather.BiasedForecast{
-			Base: weather.PerfectForecast{Series: env.Series},
-			Bias: units.Celsius(sys.ForecastBias),
-		})
-	}
-	if sys.Deferrable && trace != nil {
-		trace = trace.WithDeadlines(6 * 3600)
-	}
-	cfg := sim.RunConfig{Days: days, Trace: trace, RecordSeries: record, Recorder: rec}
-
-	if sys.Baseline {
-		cfg.KeepAllActive = true
-		res, err := sim.Run(env, baselineController(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Controller = sys.Name
-		return res, nil
-	}
-
-	m, err := l.Model(sys.Fidelity)
-	if err != nil {
-		return nil, err
-	}
-	env.Model = m
-	band := sys.Band
-	if band == (core.BandConfig{}) {
-		band = core.DefaultBandConfig()
-	}
-	ca, err := core.New(core.VersionOptions(sys.Version, band), m, env.Forecast, env.Plant, env.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(env, ca, cfg)
+	res, err := sim.Run(env, ctrl, sim.RunConfig{
+		Days: days, Trace: sys.Workload(trace), KeepAllActive: sys.Baseline,
+		RecordSeries: record, Recorder: l.Recorder,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -331,10 +306,11 @@ func (l *Lab) RunRecorded(cl weather.Climate, sys System, days []int, trace *wor
 
 // NewRun assembles the environment and controller for one system at one
 // climate without starting the simulation, training the Cooling Model
-// first when the system needs one. Callers that need more control over
-// the run than Run offers — the serve daemon paces sim.Run with a
-// Clock, cancels it with a Context, and wraps the controller in a
-// Guard — drive sim.Run themselves with the returned pair.
+// first when the system needs one. Run is NewRun plus sim.Run; callers
+// that need more control over the run — the serve daemon paces sim.Run
+// with a Clock, cancels it with a Context, and wraps the controller in
+// a Guard — drive sim.Run themselves with the returned pair, the
+// system's Workload, and KeepAllActive for the baseline.
 func (l *Lab) NewRun(cl weather.Climate, sys System) (*sim.Env, control.Controller, error) {
 	return l.NewRunContext(context.Background(), cl, sys)
 }
@@ -354,19 +330,18 @@ func (l *Lab) NewRunContext(ctx context.Context, cl weather.Climate, sys System)
 		})
 	}
 	if sys.Baseline {
-		return env, baselineController(), nil
+		return env, tks.Baseline(), nil
 	}
 	res, err := l.ModelResult(ctx, sys.Fidelity)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := res.Model
-	env.Model = m
+	env.Model = res.Model
 	band := sys.Band
 	if band == (core.BandConfig{}) {
 		band = core.DefaultBandConfig()
 	}
-	ca, err := core.New(core.VersionOptions(sys.Version, band), m, env.Forecast, env.Plant, env.Cluster)
+	ca, err := core.New(core.VersionOptions(sys.Version, band), res.Model, env.Forecast, env.Plant, env.Cluster)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -385,14 +360,6 @@ func YearDays(n int) []int {
 	}
 	return out
 }
-
-// celsius converts a float to units.Celsius (readability helper).
-func celsius(v float64) units.Celsius { return units.Celsius(v) }
-
-// coreVersionAllND and coreDefaultBand keep the experiment files free of
-// a direct core import spelled at every use site.
-func coreVersionAllND() core.Version   { return core.VersionAllND }
-func coreDefaultBand() core.BandConfig { return core.DefaultBandConfig() }
 
 // runGrid evaluates every (climate, system) pair in parallel, returning
 // results indexed [climate][system]. Every failing cell is reported: the

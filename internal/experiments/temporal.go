@@ -25,12 +25,12 @@ func (l *Lab) RunTemporalStudy(cls []weather.Climate, yearDays int) (*TemporalSt
 	if cls == nil {
 		cls = weather.StudyLocations()
 	}
-	allnd := CoolAirSystem(core.VersionAllND)
-	alldef := CoolAirSystem(core.VersionAllDEF)
-	alldef.Deferrable = true
-	edef := CoolAirSystem(core.VersionEnergyDEF)
-	edef.Deferrable = true
-	systems := []System{BaselineSystem(), allnd, alldef, edef}
+	systems := []System{
+		BaselineSystem(),
+		CoolAirSystem(core.VersionAllND),
+		CoolAirSystem(core.VersionAllDEF),
+		CoolAirSystem(core.VersionEnergyDEF),
+	}
 
 	grid, err := l.runGrid(cls, systems, YearDays(yearDays), l.Facebook())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"coolair/internal/core"
 	"coolair/internal/weather"
 )
 
@@ -33,16 +34,8 @@ type WorldSite struct {
 // RunWorldStudy evaluates nSites of the world grid over yearDays
 // sampled days. nSites ≤ 0 runs the full 1520-site grid.
 func (l *Lab) RunWorldStudy(nSites, yearDays int) (*WorldStudy, error) {
-	grid := weather.WorldGrid()
-	if nSites > 0 && nSites < len(grid) {
-		// Deterministic even subsample preserving geographic spread.
-		sub := make([]weather.Climate, 0, nSites)
-		for i := 0; i < nSites; i++ {
-			sub = append(sub, grid[i*len(grid)/nSites])
-		}
-		grid = sub
-	}
-	systems := []System{BaselineSystem(), CoolAirSystem(coreVersionAllND())}
+	grid := worldSubsample(nSites)
+	systems := []System{BaselineSystem(), CoolAirSystem(core.VersionAllND)}
 	results, err := l.runGrid(grid, systems, YearDays(yearDays), l.Facebook())
 	if err != nil {
 		return nil, err
@@ -62,6 +55,23 @@ func (l *Lab) RunWorldStudy(nSites, yearDays int) (*WorldStudy, error) {
 		})
 	}
 	return st, nil
+}
+
+// worldSubsample returns n climates evenly subsampled from the world
+// grid, preserving its geographic spread (n ≤ 0 or beyond the grid's
+// size returns the whole grid). RunWorldStudy and the fleet spec's
+// world:N both call it, so a fleet runs exactly the sites the offline
+// sweep would.
+func worldSubsample(n int) []weather.Climate {
+	grid := weather.WorldGrid()
+	if n <= 0 || n >= len(grid) {
+		return grid
+	}
+	sub := make([]weather.Climate, 0, n)
+	for i := 0; i < n; i++ {
+		sub = append(sub, grid[i*len(grid)/n])
+	}
+	return sub
 }
 
 // Averages returns the sweep-wide mean max ranges and PUEs — the paper

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"coolair/internal/core"
 	"coolair/internal/metrics"
+	"coolair/internal/units"
 	"coolair/internal/weather"
 	"coolair/internal/workload"
 )
@@ -157,9 +159,9 @@ func (l *Lab) RunMaxTempStudy(cls []weather.Climate, yearDays int) (*MaxTempStud
 	}
 	mk := func(maxTemp float64) []System {
 		base := BaselineSystem()
-		allnd := CoolAirSystem(coreVersionAllND())
-		band := coreDefaultBand()
-		band.Max = celsius(maxTemp)
+		allnd := CoolAirSystem(core.VersionAllND)
+		band := core.DefaultBandConfig()
+		band.Max = units.Celsius(maxTemp)
 		allnd.Band = band
 		return []System{base, allnd}
 	}
@@ -215,7 +217,7 @@ func (l *Lab) RunForecastStudy(cls []weather.Climate, yearDays int) (*ForecastSt
 		cls = weather.StudyLocations()
 	}
 	mk := func(bias float64) []System {
-		s := CoolAirSystem(coreVersionAllND())
+		s := CoolAirSystem(core.VersionAllND)
 		s.ForecastBias = bias
 		s.Name = fmt.Sprintf("All-ND%+0.0f", bias)
 		return []System{s}

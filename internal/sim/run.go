@@ -31,17 +31,10 @@ type RunConfig struct {
 	// Trace is the day-long workload, replayed each simulated day. Nil
 	// runs the datacenter idle.
 	Trace *workload.Trace
-	// MaxTemp and RHLimit feed the metrics collector (defaults 30°C,
-	// 80%). A zero value means "use the default"; to express a literal
-	// zero limit set the corresponding MaxTempSet/RHLimitSet flag (or
-	// use WithMaxTemp/WithRHLimit, which set it for you).
+	// MaxTemp and RHLimit feed the metrics collector; zero takes the
+	// defaults (30°C, 80%).
 	MaxTemp units.Celsius
 	RHLimit units.RelHumidity
-	// MaxTempSet / RHLimitSet mark the corresponding limit as
-	// explicitly configured, letting an explicit 0 round-trip through
-	// defaulting.
-	MaxTempSet bool
-	RHLimitSet bool
 	// KeepAllActive disables server power management (the baseline
 	// system controls only the cooling regime).
 	KeepAllActive bool
@@ -115,24 +108,11 @@ type Checkpoint struct {
 	Cmd cooling.Command
 }
 
-// WithMaxTemp returns the config with the temperature limit explicitly
-// set (an explicit 0 survives defaulting).
-func (c RunConfig) WithMaxTemp(t units.Celsius) RunConfig {
-	c.MaxTemp, c.MaxTempSet = t, true
-	return c
-}
-
-// WithRHLimit returns the config with the humidity limit explicitly set.
-func (c RunConfig) WithRHLimit(rh units.RelHumidity) RunConfig {
-	c.RHLimit, c.RHLimitSet = rh, true
-	return c
-}
-
 func (c RunConfig) withDefaults() RunConfig {
-	if c.MaxTemp == 0 && !c.MaxTempSet {
+	if c.MaxTemp == 0 {
 		c.MaxTemp = 30
 	}
-	if c.RHLimit == 0 && !c.RHLimitSet {
+	if c.RHLimit == 0 {
 		c.RHLimit = 80
 	}
 	if len(c.Days) == 0 {
@@ -203,10 +183,11 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 	}
 	snapSteps := int(model.ModelStepSeconds / PhysicsStepSeconds)
 
-	monitor, _ := ctrl.(control.Monitor)
+	loop := &controlLoop{env: env, ctrl: ctrl, inj: cfg.Faults, ctlSteps: ctlSteps, snapSteps: snapSteps,
+		cmd: cooling.Command{Mode: cooling.ModeClosed}}
+	loop.monitor, _ = ctrl.(control.Monitor)
 	planner, _ := ctrl.(control.DayPlanner)
 	scheduler, _ := ctrl.(control.TemporalScheduler)
-	inj := cfg.Faults
 
 	if cfg.Recorder != nil {
 		if t, ok := ctrl.(trace.Traceable); ok {
@@ -256,7 +237,6 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 
 	completedBefore := countMetered(env.Cluster.Completed())
 
-	cmd := cooling.Command{Mode: cooling.ModeClosed}
 	startIdx := 0
 	resumed := false
 	if cp := cfg.Resume; cp != nil {
@@ -269,7 +249,7 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 		env.state = cp.Physics.Clone()
 		env.Plant.RestoreState(cp.Plant)
 		env.now = cp.Tick
-		cmd = cp.Cmd
+		loop.cmd = cp.Cmd
 		startIdx = cp.DayIdx
 		resumed = true
 		if cfg.Logger != nil {
@@ -348,32 +328,7 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 					env.Cluster.Submit(warmSubs[warmNext])
 					warmNext++
 				}
-				// Build the observation only on steps that consume it —
-				// unless faults are injected: the injector's corruption
-				// state (e.g. a stuck sensor freezing the first value it
-				// observes) is call-timing-sensitive, so fault runs keep
-				// the exact per-step observation sequence.
-				if inj != nil || (monitor != nil && step%snapSteps == 0) || step%ctlSteps == 0 {
-					obs := env.observation()
-					if inj != nil {
-						inj.PerturbObservation(&obs)
-					}
-					if monitor != nil && step%snapSteps == 0 {
-						monitor.Observe(obs)
-					}
-					if step%ctlSteps == 0 {
-						decided, err := ctrl.Decide(obs)
-						if err != nil {
-							return nil, err
-						}
-						cmd = decided
-					}
-				}
-				actual := cmd
-				if inj != nil {
-					actual = inj.Actuate(env.Now(), cmd)
-				}
-				if _, err := env.stepPhysics(actual, PhysicsStepSeconds); err != nil {
+				if _, err := loop.step(step); err != nil {
 					return nil, err
 				}
 			}
@@ -411,30 +366,7 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 				env.Cluster.Submit(subs[next].job)
 				next++
 			}
-			// As in the warm-up loop: observations are built lazily, but
-			// fault runs keep the exact per-step sequence the injector's
-			// state machine expects.
-			if inj != nil || (monitor != nil && step%snapSteps == 0) || step%ctlSteps == 0 {
-				obs := env.observation()
-				if inj != nil {
-					inj.PerturbObservation(&obs)
-				}
-				if monitor != nil && step%snapSteps == 0 {
-					monitor.Observe(obs)
-				}
-				if step%ctlSteps == 0 {
-					decided, err := ctrl.Decide(obs)
-					if err != nil {
-						return nil, err
-					}
-					cmd = decided
-				}
-			}
-			actual := cmd
-			if inj != nil {
-				actual = inj.Actuate(env.Now(), cmd)
-			}
-			eff, err := env.stepPhysics(actual, PhysicsStepSeconds)
+			eff, err := loop.step(step)
 			if err != nil {
 				return nil, err
 			}
@@ -459,7 +391,7 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 					Tick:    env.Now(),
 					Physics: env.state.Clone(),
 					Plant:   env.Plant.StateSnapshot(),
-					Cmd:     cmd,
+					Cmd:     loop.cmd,
 				})
 			}
 			if cfg.RecordSeries && step%snapSteps == 0 {
@@ -499,6 +431,54 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 		res.Fidelity = SmoothSim
 	}
 	return res, nil
+}
+
+// controlLoop is the observe → decide → actuate → step sequence the
+// warm-up evenings and the metered days share, one physics step per
+// call.
+type controlLoop struct {
+	env                 *Env
+	ctrl                control.Controller
+	monitor             control.Monitor
+	inj                 *faults.Injector
+	ctlSteps, snapSteps int
+	// cmd is the controller command in force.
+	cmd cooling.Command
+}
+
+// step runs physics step i of a loop: the monitor observes every model
+// step, the controller decides every control period, and the command in
+// force (perturbed by the fault injector, if any) drives the plant for
+// one physics step. It returns the command the plant actually ran.
+//
+// The observation is built only on steps that consume it — unless
+// faults are injected: the injector's corruption state (e.g. a stuck
+// sensor freezing the first value it observes) is call-timing-sensitive,
+// so fault runs keep the exact per-step observation sequence.
+func (l *controlLoop) step(i int) (cooling.Command, error) {
+	observe := l.monitor != nil && i%l.snapSteps == 0
+	decide := i%l.ctlSteps == 0
+	if l.inj != nil || observe || decide {
+		obs := l.env.observation()
+		if l.inj != nil {
+			l.inj.PerturbObservation(&obs)
+		}
+		if observe {
+			l.monitor.Observe(obs)
+		}
+		if decide {
+			decided, err := l.ctrl.Decide(obs)
+			if err != nil {
+				return cooling.Command{}, err
+			}
+			l.cmd = decided
+		}
+	}
+	actual := l.cmd
+	if l.inj != nil {
+		actual = l.inj.Actuate(l.env.Now(), l.cmd)
+	}
+	return l.env.stepPhysics(actual, PhysicsStepSeconds)
 }
 
 // observation builds the controller-facing sensor snapshot.

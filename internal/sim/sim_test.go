@@ -360,29 +360,6 @@ func TestEvaporativePlantReducesHotDryCooling(t *testing.T) {
 		resPlain.Summary.CoolingKWh, resEvap.Summary.CoolingKWh)
 }
 
-func TestExplicitZeroLimitsRoundTrip(t *testing.T) {
-	// Regression: a literal 0 limit used to be overwritten by the default
-	// because withDefaults couldn't tell "unset" from "explicit zero".
-	got := RunConfig{}.WithMaxTemp(0).WithRHLimit(0).withDefaults()
-	if got.MaxTemp != 0 {
-		t.Errorf("explicit MaxTemp 0 became %v", got.MaxTemp)
-	}
-	if got.RHLimit != 0 {
-		t.Errorf("explicit RHLimit 0 became %v", got.RHLimit)
-	}
-
-	// Unset limits still pick up the documented defaults.
-	def := RunConfig{}.withDefaults()
-	if def.MaxTemp != 30 || def.RHLimit != 80 {
-		t.Errorf("defaults = %v/%v, want 30/80", def.MaxTemp, def.RHLimit)
-	}
-
-	// An explicit nonzero value passes through either way.
-	if got := (RunConfig{MaxTemp: 27}).withDefaults(); got.MaxTemp != 27 {
-		t.Errorf("explicit MaxTemp 27 became %v", got.MaxTemp)
-	}
-}
-
 // TestNewEnvConcurrent builds environments for a mix of climates from
 // many goroutines at once. Run with -race it proves the shared TMY
 // cache behind NewEnv is safe for parallel campaign grids, and it pins

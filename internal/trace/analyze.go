@@ -105,37 +105,18 @@ type PredError struct {
 	AbsError          float64
 }
 
-// predictionErrors pairs consecutive controller decisions exactly like
-// Ring's registry does: a pair counts only when the records are one
-// period apart and the first has a usable winner.
+// predictionErrors pairs the decisions through PredictionPairer, the
+// stage the Ring's histogram and the series plane use.
 func (t *Data) predictionErrors() []PredError {
 	var out []PredError
-	havePrev := false
-	var prevPred, prevTime, prevPeriod float64
+	var p PredictionPairer
 	for i := range t.Decisions {
 		d := &t.Decisions[i]
-		if d.Source != SourceController {
-			havePrev = false
-			continue
-		}
-		if havePrev {
-			dt := d.Time - prevTime
-			if dt > 0 && dt <= 1.5*prevPeriod {
-				abs := d.ActualHottest - prevPred
-				if abs < 0 {
-					abs = -abs
-				}
-				out = append(out, PredError{
-					Time: d.Time, Day: d.Day,
-					Predicted: prevPred, Actual: d.ActualHottest, AbsError: abs,
-				})
-			}
-		}
-		if pred, ok := d.WinnerPredictedHottest(); ok {
-			havePrev = true
-			prevPred, prevTime, prevPeriod = pred, d.Time, d.PeriodSeconds
-		} else {
-			havePrev = false
+		if pred, abs, ok := p.Pair(d); ok {
+			out = append(out, PredError{
+				Time: d.Time, Day: d.Day,
+				Predicted: pred, Actual: d.ActualHottest, AbsError: abs,
+			})
 		}
 	}
 	return out

@@ -121,7 +121,7 @@ func (r *Ring) RecordDecision(rec *DecisionRecord) {
 		r.reg.BandHiC.Set(rec.BandHi)
 	}
 	// Predicted-vs-realized: see PredictionPairer.
-	if err, ok := r.pairer.Pair(rec); ok {
+	if _, err, ok := r.pairer.Pair(rec); ok {
 		r.reg.PredictionAbsError.Observe(err)
 	}
 }

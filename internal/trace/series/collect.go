@@ -129,7 +129,7 @@ func (c *Collector) RecordDecision(rec *trace.DecisionRecord) {
 		c.db.Append(c.idDecisionSec, t, c.spanAccum)
 		c.spanAccum = 0
 	}
-	if err, ok := c.pairer.Pair(rec); ok {
+	if _, err, ok := c.pairer.Pair(rec); ok {
 		c.db.Append(c.idPredErr, t, err)
 	}
 	c.mu.Unlock()

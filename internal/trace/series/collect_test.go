@@ -3,6 +3,7 @@ package series
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"coolair/internal/trace"
@@ -164,9 +165,10 @@ func TestStandardMetricsRegistered(t *testing.T) {
 }
 
 // TestPredictionPairingRingAndCollectorAgree pins that the ring's
-// prediction-error histogram and the collector's
-// prediction_abs_error_celsius series come from the same pairing stage:
-// for each record sequence, both see exactly the expected pairs.
+// prediction-error histogram, the collector's
+// prediction_abs_error_celsius series, and the trace inspector's
+// TopPredictionErrors come from the same pairing stage: for each record
+// sequence, all three see exactly the expected pairs.
 func TestPredictionPairingRingAndCollectorAgree(t *testing.T) {
 	const period = 600.0
 	ctrl := func(ts, actual, pred float64) trace.DecisionRecord {
@@ -239,6 +241,18 @@ func TestPredictionPairingRingAndCollectorAgree(t *testing.T) {
 			_, wantBuckets := want.Buckets()
 			if !reflect.DeepEqual(gotBuckets, wantBuckets) {
 				t.Errorf("ring histogram buckets = %v, want %v", gotBuckets, wantBuckets)
+			}
+
+			// The inspector ranks worst first; compare in time order.
+			top := (&trace.Data{Decisions: tc.recs}).TopPredictionErrors(0)
+			sort.Slice(top, func(a, b int) bool { return top[a].Time < top[b].Time })
+			if len(top) != len(tc.want) {
+				t.Fatalf("TopPredictionErrors pairs = %+v, want %v", top, tc.want)
+			}
+			for i, w := range tc.want {
+				if top[i].Time != w.T || top[i].AbsError != w.V || math.Abs(top[i].Actual-top[i].Predicted) != w.V {
+					t.Errorf("TopPredictionErrors pair %d = %+v, want %v", i, top[i], w)
+				}
 			}
 		})
 	}
