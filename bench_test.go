@@ -13,11 +13,15 @@ import (
 	"coolair/internal/cooling"
 	"coolair/internal/core"
 	"coolair/internal/experiments"
+	"coolair/internal/hadoop"
 	"coolair/internal/model"
+	"coolair/internal/physics"
+	"coolair/internal/sim"
 	"coolair/internal/trace"
 	"coolair/internal/trace/series"
 	"coolair/internal/units"
 	"coolair/internal/weather"
+	"coolair/internal/workload"
 )
 
 var (
@@ -292,6 +296,47 @@ func BenchmarkWorldThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(sites*2*benchDays*b.N)/b.Elapsed().Seconds(), "site-days/s")
+}
+
+// BenchmarkClusterReplay isolates the cluster layer of the sweep: one
+// Facebook trace day replayed through a fresh all-active Parasol cluster
+// at the physics step, with the per-step cluster calls sim.Run makes
+// (pod power and disk utilization for the physics, Step, energy
+// accrual). It reports ns/step beside ns/op.
+func BenchmarkClusterReplay(b *testing.B) {
+	tr := workload.Facebook(64, experiments.NewLab().Seed)
+	pods := physics.Parasol().Pods
+	sizes := make([]int, len(pods))
+	for i, p := range pods {
+		sizes[i] = p.Servers
+	}
+	const dt = sim.PhysicsStepSeconds
+	const steps = 86400 / dt
+	power := make([]units.Watts, len(sizes))
+	disk := make([]float64, len(sizes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := hadoop.NewCluster(sizes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.ActivateAll()
+		next := 0
+		for s := 0; s < steps; s++ {
+			for now := float64(s) * dt; next < len(tr.Jobs) && tr.Jobs[next].Arrival <= now; next++ {
+				c.Submit(tr.Jobs[next])
+			}
+			power = c.PodPowerInto(power)
+			disk = c.PodDiskUtilInto(disk)
+			c.Step(dt)
+			c.AccrueEnergy(dt)
+		}
+		if len(c.Completed()) == 0 {
+			b.Fatal("no job completed")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }
 
 // BenchmarkPredictWindow isolates one horizon prediction — the unit of

@@ -51,6 +51,14 @@ func (s PowerState) String() string {
 const SlotsPerServer = 2
 
 // Server is one machine in the cluster.
+//
+// The Cluster keeps per-pod counts of busy slots, awake and active
+// servers current at every dispatch, task finish and power-state
+// change, so State must only change through the Cluster's own methods
+// (SetActiveTarget, ActivateAll); the memoguard analyzer flags any
+// write from outside this package.
+//
+//coolair:memoized
 type Server struct {
 	ID  int
 	Pod int
@@ -58,9 +66,6 @@ type Server struct {
 	// never leave the active state.
 	Covering bool
 	State    PowerState
-
-	// IdlePower and BusyPower bound the draw (paper: 22–30 W each).
-	IdlePower, BusyPower units.Watts
 
 	// tasks are the server's slots (remaining seconds and owning job);
 	// the first ntasks entries are in use. Inline value slots keep the
@@ -108,7 +113,6 @@ func (r *runningJob) done() bool {
 // Cluster is the simulated Hadoop deployment.
 type Cluster struct {
 	Servers []*Server
-	pods    int
 
 	pending []*runningJob // submitted, not yet fully dispatched
 	// flight holds submitted, unfinished jobs in submission order.
@@ -135,20 +139,14 @@ type Cluster struct {
 	// and bitmaps) into later submissions.
 	freeJobs []*runningJob
 
-	// gen counts mutations of server state (power states and running
-	// tasks). Cached aggregates in power.go record the generation they
-	// were computed at and rescan only when stale; the cached values are
-	// produced by the very loops they replace, so hits are bit-identical
-	// to recomputation.
-	gen          uint64
-	itPowerGen   uint64
-	itPowerCur   units.Watts
-	activeGen    uint64
-	activeCur    int
-	maxITCached  bool
-	maxITCur     units.Watts
-	diskBusy     []int
-	diskActSlots []int
+	// pod holds each pod's counts, and active counts active servers
+	// cluster-wide. Dispatch, task finish and setState keep them
+	// current, so every per-tick aggregate (power, disk utilization,
+	// activity) is a read over pods instead of a scan over servers.
+	pod      []podCount
+	active   int
+	covering int
+	maxIT    units.Watts
 
 	placement []int // pod preference order for new tasks
 	// order caches serverOrder's result; it depends only on placement
@@ -167,6 +165,14 @@ type JobRecord struct {
 	Start, End float64
 }
 
+// podCount is one pod's share of the cluster's incremental counts.
+type podCount struct {
+	servers int
+	awake   int // servers not in Sleep
+	active  int // servers in Active
+	busy    int // occupied task slots
+}
+
 // NewCluster builds a cluster with the given number of servers per pod.
 // Every sixth server (spread evenly, as HDFS block placement would) is
 // assigned to the Covering Subset — the smallest set storing a full copy
@@ -176,43 +182,79 @@ func NewCluster(podSizes []int) (*Cluster, error) {
 	if len(podSizes) == 0 {
 		return nil, fmt.Errorf("hadoop: no pods")
 	}
-	c := &Cluster{pods: len(podSizes), gen: 1}
-	id := 0
+	total := 0
 	for pod, n := range podSizes {
 		if n <= 0 {
 			return nil, fmt.Errorf("hadoop: pod %d has %d servers", pod, n)
 		}
+		total += n
+	}
+	c := &Cluster{
+		Servers:   make([]*Server, total),
+		pod:       make([]podCount, len(podSizes)),
+		placement: make([]int, len(podSizes)),
+		active:    total,
+		maxIT:     units.Watts(total) * busyPower,
+	}
+	// One contiguous slab backs every server, so the per-step walks
+	// stride through memory instead of chasing scattered allocations.
+	slab := make([]Server, total)
+	id := 0
+	for pod, n := range podSizes {
+		c.pod[pod] = podCount{servers: n, awake: n, active: n}
+		c.placement[pod] = pod
 		for i := 0; i < n; i++ {
-			s := &Server{
-				ID: id, Pod: pod,
-				Covering:  id%6 == 0,
-				State:     Active,
-				IdlePower: 22, BusyPower: 30,
+			s := &slab[id]
+			*s = Server{ID: id, Pod: pod, Covering: id%6 == 0, State: Active}
+			if s.Covering {
+				c.covering++
 			}
-			c.Servers = append(c.Servers, s)
+			c.Servers[id] = s
 			id++
 		}
-	}
-	c.placement = make([]int, len(podSizes))
-	for i := range c.placement {
-		c.placement[i] = i
 	}
 	return c, nil
 }
 
+// setState moves s into power state st, keeping the pod and cluster
+// counts current. Every power-state change goes through here; a move
+// into Sleep is one disk power cycle.
+func (c *Cluster) setState(s *Server, st PowerState) {
+	if s.State == st {
+		return
+	}
+	p := &c.pod[s.Pod]
+	switch s.State {
+	case Active:
+		p.active--
+		c.active--
+	case Sleep:
+		p.awake++
+	}
+	switch st {
+	case Active:
+		p.active++
+		c.active++
+	case Sleep:
+		p.awake--
+		s.powerCycles++
+	}
+	s.State = st
+}
+
 // Pods returns the number of pods.
-func (c *Cluster) Pods() int { return c.pods }
+func (c *Cluster) Pods() int { return len(c.pod) }
 
 // SetPlacementOrder installs the pod preference order used when
 // dispatching tasks and choosing which servers to keep active. CoolAir's
 // Compute Optimizer passes pods ranked by recirculation (paper §3.3).
 func (c *Cluster) SetPlacementOrder(podOrder []int) error {
-	if len(podOrder) != c.pods {
-		return fmt.Errorf("hadoop: placement order has %d pods, want %d", len(podOrder), c.pods)
+	if len(podOrder) != len(c.pod) {
+		return fmt.Errorf("hadoop: placement order has %d pods, want %d", len(podOrder), len(c.pod))
 	}
-	seen := make(map[int]bool, c.pods)
+	seen := make(map[int]bool, len(c.pod))
 	for _, p := range podOrder {
-		if p < 0 || p >= c.pods || seen[p] {
+		if p < 0 || p >= len(c.pod) || seen[p] {
 			return fmt.Errorf("hadoop: invalid placement order %v", podOrder)
 		}
 		seen[p] = true
@@ -249,7 +291,7 @@ func (c *Cluster) serverOrder() []*Server {
 	if c.order != nil {
 		return c.order
 	}
-	rank := make([]int, c.pods)
+	rank := make([]int, len(c.pod))
 	for i, p := range c.placement {
 		rank[p] = i
 	}
@@ -271,7 +313,6 @@ func (c *Cluster) serverOrder() []*Server {
 func (c *Cluster) Step(dt float64) {
 	c.now += dt
 	c.elapsed += dt
-	c.gen++
 
 	// 1. Advance running tasks in place. An idle cluster (overnight gaps
 	// in the traces) skips the server walk outright.
@@ -301,9 +342,12 @@ func (c *Cluster) Step(dt float64) {
 						c.cursorReset = true
 					}
 				}
-				c.running--
-				finished = true
 				t.job = nil
+			}
+			if done := s.ntasks - kept; done > 0 {
+				c.pod[s.Pod].busy -= done
+				c.running -= done
+				finished = true
 			}
 			s.ntasks = kept
 		}
@@ -348,19 +392,17 @@ func (c *Cluster) Step(dt float64) {
 		c.cursor = 0
 		c.cursorReset = false
 	}
-dispatch:
 	for _, s := range order {
-		if s.State != Active {
+		if s.State != Active || s.ntasks == SlotsPerServer {
 			continue
 		}
+		before := s.ntasks
 		for s.ntasks < SlotsPerServer {
 			r, ok := c.nextTask(&s.tasks[s.ntasks])
 			if !ok {
-				break dispatch
+				break
 			}
 			s.ntasks++
-			c.running++
-			c.dirtyPending = true
 			if r.holdBits == nil {
 				r.holdBits = make([]uint64, (len(c.Servers)+63)/64)
 			}
@@ -369,6 +411,14 @@ dispatch:
 				s.holdCount++
 				r.holders = append(r.holders, s)
 			}
+		}
+		if added := s.ntasks - before; added > 0 {
+			c.running += added
+			c.pod[s.Pod].busy += added
+			c.dirtyPending = true
+		}
+		if s.ntasks < SlotsPerServer {
+			break // the queue ran dry
 		}
 	}
 	// Drop fully-dispatched jobs from the pending queue.

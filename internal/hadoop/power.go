@@ -29,46 +29,34 @@ func (c *Cluster) SetActiveTarget(want int) error {
 	}
 
 	order := c.serverOrder()
-	// The state flips below happen after the ActiveServers query above,
-	// so the generation advances on exit (not before the query, which
-	// would freshen the cache against a state about to change).
-	defer func() { c.gen++ }()
 
 	// Pass 1: wake sleepers (in placement order) until enough active.
-	active := c.ActiveServers()
 	for _, s := range order {
-		if active >= want {
+		if c.active >= want {
 			break
 		}
-		if s.State == Sleep {
-			s.State = Active
-			active++
-		} else if s.State == Decommissioned {
-			s.State = Active
-			active++
+		if s.State != Active {
+			c.setState(s, Active)
 		}
 	}
 
 	// Pass 2: surplus actives go down, least-preferred first.
-	for i := len(order) - 1; i >= 0 && active > want; i-- {
+	for i := len(order) - 1; i >= 0 && c.active > want; i-- {
 		s := order[i]
 		if s.State != Active || s.Covering {
 			continue
 		}
 		if s.ntasks > 0 || s.holdCount > 0 {
-			s.State = Decommissioned
+			c.setState(s, Decommissioned)
 		} else {
-			s.State = Sleep
-			s.powerCycles++
+			c.setState(s, Sleep)
 		}
-		active--
 	}
 
 	// Pass 3: decommissioned servers that have drained fully can sleep.
 	for _, s := range c.Servers {
 		if s.State == Decommissioned && s.ntasks == 0 && s.holdCount == 0 {
-			s.State = Sleep
-			s.powerCycles++
+			c.setState(s, Sleep)
 		}
 	}
 	return nil
@@ -77,53 +65,25 @@ func (c *Cluster) SetActiveTarget(want int) error {
 // ActivateAll forces every server active (the baseline system does no
 // energy management of servers).
 func (c *Cluster) ActivateAll() {
-	c.gen++
 	for _, s := range c.Servers {
-		s.State = Active
+		c.setState(s, Active)
 	}
 }
 
-// ActiveServers counts servers in the active state. The count is cached
-// per cluster mutation (see Cluster.gen).
-func (c *Cluster) ActiveServers() int {
-	if c.activeGen == c.gen {
-		return c.activeCur
-	}
-	n := 0
-	for _, s := range c.Servers {
-		if s.State == Active {
-			n++
-		}
-	}
-	c.activeGen, c.activeCur = c.gen, n
-	return n
-}
+// ActiveServers counts servers in the active state.
+func (c *Cluster) ActiveServers() int { return c.active }
 
 // CoveringSubsetSize returns the number of Covering Subset servers.
-func (c *Cluster) CoveringSubsetSize() int {
-	n := 0
-	for _, s := range c.Servers {
-		if s.Covering {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) CoveringSubsetSize() int { return c.covering }
 
 // Utilization returns the fraction of servers active — the paper's
 // "datacenter utilization".
 func (c *Cluster) Utilization() float64 {
-	return float64(c.ActiveServers()) / float64(len(c.Servers))
+	return float64(c.active) / float64(len(c.Servers))
 }
 
 // BusySlots counts occupied task slots across the cluster.
-func (c *Cluster) BusySlots() int {
-	n := 0
-	for _, s := range c.Servers {
-		n += s.ntasks
-	}
-	return n
-}
+func (c *Cluster) BusySlots() int { return c.running }
 
 // QueuedTasks returns the number of tasks waiting for a slot (pending
 // maps, plus reduces whose map phase finished).
@@ -142,77 +102,66 @@ func (c *Cluster) QueuedTasks() int {
 // quantity CoolAir's Compute Optimizer sizes the active set from.
 func (c *Cluster) SlotDemand() int { return c.BusySlots() + c.QueuedTasks() }
 
-// serverPower returns one server's current draw.
-func serverPower(s *Server) units.Watts {
-	switch s.State {
-	case Sleep:
-		return 1.5 // S3 standby
-	default:
-		frac := float64(s.ntasks) / SlotsPerServer
-		return s.IdlePower + units.Watts(frac*float64(s.BusyPower-s.IdlePower))
-	}
+// Server power draw: idle and busy bound an awake server's draw (paper:
+// 22–30 W), each occupied slot adding slotPower; a sleeping server
+// draws sleepPower (S3 standby).
+const (
+	idlePower  units.Watts = 22
+	busyPower  units.Watts = 30
+	sleepPower units.Watts = 1.5
+	slotPower              = (busyPower - idlePower) / SlotsPerServer
+)
+
+// power returns the pod's IT draw from its counts. A sleeping server
+// holds no tasks (it sleeps only once drained and is dispatched to only
+// when active), so every server draws one of {1.5, 22, 26, 30} W. All
+// are multiples of 0.5 W and every sum of them here stays far below
+// 2^52 × 0.5 W, so each product and partial sum is exact in float64 and
+// any association of the per-server draws gives the same bits: this
+// formula, a whole-cluster sum of pod subtotals, and a server-order
+// loop all agree exactly.
+func (p *podCount) power() units.Watts {
+	return units.Watts(p.servers-p.awake)*sleepPower +
+		units.Watts(p.awake)*idlePower +
+		units.Watts(p.busy)*slotPower
 }
 
 // PodPower returns the per-pod IT power draw.
 func (c *Cluster) PodPower() []units.Watts {
-	return c.PodPowerInto(make([]units.Watts, c.pods))
+	return c.PodPowerInto(make([]units.Watts, len(c.pod)))
 }
 
 // PodPowerInto fills dst (resized to the pod count) with the per-pod IT
 // power draw and returns it, letting per-step callers reuse a scratch
-// slice. The accumulation order is identical to PodPower's. The walk
-// also refreshes the ITPower cache: the total accumulates server by
-// server in the very order ITPower's own loop uses (NOT as a sum of the
-// pod subtotals, which would associate the floats differently).
+// slice.
 func (c *Cluster) PodPowerInto(dst []units.Watts) []units.Watts {
-	if cap(dst) < c.pods {
-		dst = make([]units.Watts, c.pods)
+	if cap(dst) < len(c.pod) {
+		dst = make([]units.Watts, len(c.pod))
 	}
-	dst = dst[:c.pods]
-	for i := range dst {
-		dst[i] = 0
+	dst = dst[:len(c.pod)]
+	for i := range c.pod {
+		dst[i] = c.pod[i].power()
 	}
-	var t units.Watts
-	for _, s := range c.Servers {
-		p := serverPower(s)
-		dst[s.Pod] += p
-		t += p
-	}
-	c.itPowerGen, c.itPowerCur = c.gen, t
 	return dst
 }
 
-// ITPower returns the total IT power draw, cached per cluster mutation.
+// ITPower returns the total IT power draw (exact in any order; see
+// podCount.power).
 func (c *Cluster) ITPower() units.Watts {
-	if c.itPowerGen == c.gen {
-		return c.itPowerCur
-	}
 	var t units.Watts
-	for _, s := range c.Servers {
-		t += serverPower(s)
+	for i := range c.pod {
+		t += c.pod[i].power()
 	}
-	c.itPowerGen, c.itPowerCur = c.gen, t
 	return t
 }
 
 // MaxITPower returns the draw with every server busy — the
-// normalization basis for load fractions. Per-server power ratings are
-// fixed at construction, so the sum is computed once.
-func (c *Cluster) MaxITPower() units.Watts {
-	if c.maxITCached {
-		return c.maxITCur
-	}
-	var t units.Watts
-	for _, s := range c.Servers {
-		t += s.BusyPower
-	}
-	c.maxITCached, c.maxITCur = true, t
-	return t
-}
+// normalization basis for load fractions.
+func (c *Cluster) MaxITPower() units.Watts { return c.maxIT }
 
 // ITLoad returns the current IT power as a fraction of MaxITPower.
 func (c *Cluster) ITLoad() float64 {
-	return float64(c.ITPower()) / float64(c.MaxITPower())
+	return float64(c.ITPower()) / float64(c.maxIT)
 }
 
 // AccrueEnergy integrates IT energy over dt seconds; call once per
@@ -224,49 +173,33 @@ func (c *Cluster) ITEnergy() units.Joules { return c.itotal }
 
 // PodActive reports, per pod, whether any server is active.
 func (c *Cluster) PodActive() []bool {
-	out := make([]bool, c.pods)
-	for _, s := range c.Servers {
-		if s.State == Active {
-			out[s.Pod] = true
-		}
+	out := make([]bool, len(c.pod))
+	for i := range c.pod {
+		out[i] = c.pod[i].active > 0
 	}
 	return out
 }
 
 // PodDiskUtil estimates each pod's average disk utilization as the
-// busy-slot fraction of its active servers (sleeping disks are spun
+// busy-slot fraction of its awake servers (sleeping disks are spun
 // down and contribute nothing).
 func (c *Cluster) PodDiskUtil() []float64 {
-	return c.PodDiskUtilInto(make([]float64, c.pods))
+	return c.PodDiskUtilInto(make([]float64, len(c.pod)))
 }
 
 // PodDiskUtilInto fills dst (resized to the pod count) with each pod's
 // disk utilization and returns it, letting per-step callers reuse a
 // scratch slice.
 func (c *Cluster) PodDiskUtilInto(dst []float64) []float64 {
-	if c.diskBusy == nil {
-		c.diskBusy = make([]int, c.pods)
-		c.diskActSlots = make([]int, c.pods)
+	if cap(dst) < len(c.pod) {
+		dst = make([]float64, len(c.pod))
 	}
-	busy, activeSlots := c.diskBusy, c.diskActSlots
-	for p := 0; p < c.pods; p++ {
-		busy[p], activeSlots[p] = 0, 0
-	}
-	for _, s := range c.Servers {
-		if s.State == Sleep {
-			continue
-		}
-		busy[s.Pod] += s.ntasks
-		activeSlots[s.Pod] += SlotsPerServer
-	}
-	if cap(dst) < c.pods {
-		dst = make([]float64, c.pods)
-	}
-	dst = dst[:c.pods]
-	for p := range dst {
-		dst[p] = 0
-		if activeSlots[p] > 0 {
-			dst[p] = float64(busy[p]) / float64(activeSlots[p])
+	dst = dst[:len(c.pod)]
+	for i := range c.pod {
+		p := &c.pod[i]
+		dst[i] = 0
+		if p.awake > 0 {
+			dst[i] = float64(p.busy) / float64(p.awake*SlotsPerServer)
 		}
 	}
 	return dst

@@ -504,8 +504,8 @@ func (e *Env) observation() control.Observation {
 // (whose IDs carry the 10_000+ day marker from withUniqueID).
 func countMetered(recs []hadoopJobRecord) int {
 	n := 0
-	for _, r := range recs {
-		if r.Job.ID < 1_000_000_000 {
+	for i := range recs {
+		if recs[i].Job.ID < 1_000_000_000 {
 			n++
 		}
 	}
