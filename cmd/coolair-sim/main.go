@@ -1,6 +1,7 @@
 // Command coolair-sim runs one managed datacenter at one location for a
-// chosen number of days and prints either a summary or a CSV time
-// series.
+// chosen number of days and prints a summary, optionally followed by
+// the 2-minute series as CSV (the same columns as coolair-trace -csv
+// ticks).
 //
 //	coolair-sim -location newark -system all-nd -days 7 -csv
 //	coolair-sim -location singapore -system baseline -year
@@ -23,7 +24,7 @@ func main() {
 	days := flag.Int("days", 7, "number of consecutive days to simulate")
 	startDay := flag.Int("start", 150, "first day of year (0-based)")
 	year := flag.Bool("year", false, "simulate the paper's 52-day year sample instead of -days")
-	csv := flag.Bool("csv", false, "print a 2-minute CSV time series")
+	csv := flag.Bool("csv", false, "also print the 2-minute series as CSV (coolair-trace -csv ticks columns)")
 	traceOut := flag.String("trace", "", "write a flight-recorder JSONL trace to this file")
 	flag.Parse()
 
@@ -82,11 +83,10 @@ func main() {
 	fmt.Printf("disk reliability        %v\n", res.DiskReliability)
 
 	if *csv {
-		fmt.Println("\ntime_s,outside_c,inlet_min_c,inlet_max_c,disk_max_c,rh_pct,mode,fan,comp,cooling_w,it_w,util")
-		for _, p := range res.Series {
-			fmt.Printf("%0.0f,%0.2f,%0.2f,%0.2f,%0.2f,%0.1f,%s,%0.2f,%0.2f,%0.0f,%0.0f,%0.2f\n",
-				p.Time, float64(p.Outside), float64(p.InletMin), float64(p.InletMax), float64(p.DiskMax),
-				float64(p.InsideRH), p.Mode, p.FanSpeed, p.CompSpeed, float64(p.CoolingW), float64(p.ITW), p.Util)
+		fmt.Println()
+		if err := (&trace.Data{Ticks: res.Series}).WriteTickCSV(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
 		}
 	}
 }

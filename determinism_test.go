@@ -2,17 +2,14 @@
 // decision loop must be behavior-preserving, so a full simulated day —
 // model training, band selection, candidate scoring, physics — has to
 // produce byte-identical results before and after any performance work.
-// The golden digest in testdata/ was recorded with the original
-// (allocating) implementation; see README "Performance".
+// The golden digest in testdata/ is sim.Result.Digest of that day; the
+// behaviour it pins dates from the original (allocating)
+// implementation. See README "Performance".
 package coolair_test
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/gob"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -59,21 +56,6 @@ func runDecisionDay(t testing.TB, l *experiments.Lab, rec coolair.TraceRecorder,
 	return res
 }
 
-// resultDigest reduces a Result to a byte-exact fingerprint. Gob encodes
-// float64 bits exactly, so two digests match only when every recorded
-// sample — temperatures, humidity, regimes, energies — is bit-identical.
-func resultDigest(t testing.TB, res *coolair.Result) string {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range []any{res.Summary, res.Series, res.JobsSubmitted, res.JobsCompleted, res.DailyWorstRanges} {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
-}
-
 // TestDecisionDeterminism runs the same day twice from fresh
 // environments and requires bit-identical results, then compares the
 // digest against the golden trace recorded before the allocation-free
@@ -83,8 +65,8 @@ func resultDigest(t testing.TB, res *coolair.Result) string {
 // on the same architecture are exactly reproducible.
 func TestDecisionDeterminism(t *testing.T) {
 	l := experiments.NewLab()
-	first := resultDigest(t, runDecisionDay(t, l, nil, nil))
-	second := resultDigest(t, runDecisionDay(t, l, nil, nil))
+	first := runDecisionDay(t, l, nil, nil).Digest()
+	second := runDecisionDay(t, l, nil, nil).Digest()
 	if first != second {
 		t.Fatalf("rerun produced a different trace:\n  first  %s\n  second %s", first, second)
 	}
@@ -137,7 +119,7 @@ func TestRestoredModelDeterminism(t *testing.T) {
 	if res.Restored {
 		t.Fatal("first lab restored a model from an empty registry")
 	}
-	trained := resultDigest(t, runDecisionDay(t, trainer, nil, nil))
+	trained := runDecisionDay(t, trainer, nil, nil).Digest()
 
 	// Second lab: same key, fresh process state — must restore, not train.
 	restorer := experiments.NewLab()
@@ -153,7 +135,7 @@ func TestRestoredModelDeterminism(t *testing.T) {
 	if !res2.Restored {
 		t.Fatal("second lab trained despite a registry snapshot")
 	}
-	restored := resultDigest(t, runDecisionDay(t, restorer, nil, nil))
+	restored := runDecisionDay(t, restorer, nil, nil).Digest()
 
 	if trained != restored {
 		t.Fatalf("restored model diverged from the trained one:\n  trained  %s\n  restored %s", trained, restored)
@@ -181,9 +163,9 @@ func TestRestoredModelDeterminism(t *testing.T) {
 func TestRecorderEquivalence(t *testing.T) {
 	l := experiments.NewLab()
 	ring := coolair.NewTraceRing(0, 0)
-	traced := resultDigest(t, runDecisionDay(t, l, ring, nil))
-	nop := resultDigest(t, runDecisionDay(t, l, coolair.NopRecorder{}, nil))
-	bare := resultDigest(t, runDecisionDay(t, l, nil, nil))
+	traced := runDecisionDay(t, l, ring, nil).Digest()
+	nop := runDecisionDay(t, l, coolair.NopRecorder{}, nil).Digest()
+	bare := runDecisionDay(t, l, nil, nil).Digest()
 
 	if traced != nop || nop != bare {
 		t.Fatalf("recording changed the run:\n  ring %s\n  nop  %s\n  none %s", traced, nop, bare)
@@ -232,7 +214,7 @@ func TestDecisionFaultPlanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resultDigest(t, runDecisionDay(t, l, nil, inj))
+		return runDecisionDay(t, l, nil, inj).Digest()
 	}
 	first, second := faulted(), faulted()
 	if first != second {
@@ -241,7 +223,7 @@ func TestDecisionFaultPlanDeterminism(t *testing.T) {
 	// The plan must have actually perturbed the run, or the rerun
 	// identity proves nothing beyond TestDecisionDeterminism: a faulted
 	// day cannot match the clean (golden) digest.
-	if clean := resultDigest(t, runDecisionDay(t, l, nil, nil)); first == clean {
+	if clean := runDecisionDay(t, l, nil, nil).Digest(); first == clean {
 		t.Fatal("fault plan left the run untouched; the determinism check is vacuous")
 	}
 }

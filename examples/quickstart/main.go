@@ -62,6 +62,6 @@ func main() {
 			continue
 		}
 		fmt.Printf("  %02d:00  %5.1f°C → [%5.1f, %5.1f]°C  %v\n",
-			i/30, float64(p.Outside), float64(p.InletMin), float64(p.InletMax), p.Mode)
+			i/30, p.OutsideTemp, p.InletMin, p.InletMax, coolair.CoolingMode(p.Mode))
 	}
 }

@@ -90,7 +90,6 @@ type CoolAir struct {
 	// DESIGN.md, "Scratch buffers and Into APIs" and §11 "Batched
 	// candidate evaluation".
 	menu       []cooling.Command // cached candidate regimes (plant-dependent, immutable)
-	cands      candidateSet      // the menu in SoA form, built once at New
 	schedArena []cooling.Command // flat preview arena: candidate i fills [i*H, (i+1)*H)
 	skip       []bool            // per-candidate preview-failure mask
 	batch      model.BatchScratch
@@ -146,21 +145,9 @@ func New(opts Options, m *model.Model, f weather.Forecaster, plant *cooling.Plan
 	opts = opts.withDefaults()
 	c := &CoolAir{opts: opts, model: m, forecast: f, plant: plant, cluster: cluster, day: -1}
 	// The candidate menu depends only on the installed plant's
-	// granularity, so build it once instead of per decision — both in
-	// command form (diagnostics) and in the SoA form the batched
-	// evaluator sweeps.
+	// granularity, so build it once instead of per decision.
 	c.menu = c.candidates()
 	n := len(c.menu)
-	c.cands = candidateSet{
-		modes: make([]cooling.Mode, n),
-		fans:  make([]float64, n),
-		comps: make([]float64, n),
-	}
-	for i, cmd := range c.menu {
-		c.cands.modes[i] = cmd.Mode
-		c.cands.fans[i] = cmd.FanSpeed
-		c.cands.comps[i] = cmd.CompressorSpeed
-	}
 	c.schedArena = make([]cooling.Command, n*model.HorizonSteps)
 	c.skip = make([]bool, n)
 	c.powers = make([]units.Watts, 0, model.HorizonSteps)
@@ -269,15 +256,10 @@ func (c *CoolAir) Observe(obs control.Observation) {
 	}
 }
 
-// snapshotFromObservation converts a sensor observation into the
+// snapshotFromObservationInto converts a sensor observation into the
 // Modeler's snapshot form (absolute humidity recovered at the coolest
-// pod, where the cold-aisle humidity sensor hangs).
-func snapshotFromObservation(obs control.Observation) model.Snapshot {
-	return snapshotFromObservationInto(nil, obs)
-}
-
-// snapshotFromObservationInto builds the snapshot with the pod
-// temperatures copied into buf (reused via buf[:0]; nil allocates).
+// pod, where the cold-aisle humidity sensor hangs), with the pod
+// temperatures copied into buf (reused via buf[:0]).
 func snapshotFromObservationInto(buf []units.Celsius, obs control.Observation) model.Snapshot {
 	coolest := units.Celsius(25)
 	if len(obs.PodInlet) > 0 {
@@ -342,16 +324,15 @@ func (c *CoolAir) Decide(obs control.Observation) (cooling.Command, error) {
 	var mark time.Time
 
 	// Sweep 1 — enumerate: preview every candidate's effective schedule
-	// into the SoA arena. A candidate whose preview fails is masked out,
-	// not fatal: losing one regime from the menu degrades the decision,
+	// into the arena. A candidate whose preview fails is masked out, not
+	// fatal: losing one regime from the menu degrades the decision,
 	// aborting it would stall the control loop.
 	if timing {
 		mark = time.Now()
 	}
-	n := len(c.cands.modes)
-	for i := 0; i < n; i++ {
+	for i, cmd := range c.menu {
 		dst := c.schedArena[i*horizon : i*horizon : (i+1)*horizon]
-		_, err := c.plant.PreviewScheduleInto(dst, c.candidate(i), model.ModelStepSeconds, horizon)
+		_, err := c.plant.PreviewScheduleInto(dst, cmd, model.ModelStepSeconds, horizon)
 		c.skip[i] = err != nil
 	}
 	if timing {
@@ -385,8 +366,7 @@ func (c *CoolAir) Decide(obs control.Observation) (cooling.Command, error) {
 		scoreMark = time.Now()
 	}
 	c.powMemo = c.powMemo[:0]
-	for i := 0; i < n; i++ {
-		cmd := c.candidate(i)
+	for i, cmd := range c.menu {
 		// When recording, reserve the candidate's slot up front so skipped
 		// candidates appear in the trace too (with Skipped set).
 		var crec *trace.CandidateRecord
@@ -522,25 +502,6 @@ func (c *CoolAir) emitDecision(winner int32, hold bool, cmd cooling.Command) {
 	c.drec.FanSpeed = cmd.FanSpeed
 	c.drec.CompSpeed = cmd.CompressorSpeed
 	c.rec.RecordDecision(&c.drec)
-}
-
-// candidateSet is the candidate menu in struct-of-arrays form: modes,
-// fan speeds, and compressor speeds in parallel arrays, indexed by
-// candidate. The batched decision sweeps address candidates by index
-// against this set and the parallel schedule arena / skip mask.
-type candidateSet struct {
-	modes []cooling.Mode
-	fans  []float64
-	comps []float64
-}
-
-// candidate reassembles candidate i's command from the SoA menu.
-func (c *CoolAir) candidate(i int) cooling.Command {
-	return cooling.Command{
-		Mode:            c.cands.modes[i],
-		FanSpeed:        c.cands.fans[i],
-		CompressorSpeed: c.cands.comps[i],
-	}
 }
 
 // powerMemoEntry memoizes one power-model evaluation within a decision.

@@ -53,25 +53,17 @@ func DefaultUtility() UtilityConfig {
 	}
 }
 
-// Penalty scores one candidate regime from its predicted rollout. It
-// implements the paper's utility function: the sum over the sensors of
-// all active pods (and over the prediction horizon) of the penalties for
-// absolute temperature, temperature variation, band violations, relative
-// humidity, and AC abruptness, plus the optional energy term. Lower is
-// better.
-func (u UtilityConfig) Penalty(band Band, cur model.PredictorState, rollout []model.PredictorState,
-	schedule []cooling.Command, podActive []bool, m *model.Model) float64 {
-	return u.penalty(band, cur, rollout, schedule, podActive, m, nil, nil)
-}
-
-// PenaltyWithPowers scores like Penalty but consumes per-step cooling
-// powers the caller already predicted (powers[i] for schedule[i]). The
-// optimizer needs the same powers for its energy tie-break, so sharing
-// them halves the power-model evaluations per candidate without changing
-// any scored value.
+// PenaltyWithPowers scores one candidate regime from its predicted
+// rollout. It implements the paper's utility function: the sum over the
+// sensors of all active pods (and over the prediction horizon) of the
+// penalties for absolute temperature, temperature variation, band
+// violations, relative humidity, and AC abruptness, plus the optional
+// energy term. Lower is better. powers[i] is the predicted cooling power
+// of schedule[i]: the optimizer needs the same powers for its energy
+// tie-break, so it predicts them once and shares them.
 func (u UtilityConfig) PenaltyWithPowers(band Band, cur model.PredictorState, rollout []model.PredictorState,
 	schedule []cooling.Command, podActive []bool, powers []units.Watts) float64 {
-	return u.penalty(band, cur, rollout, schedule, podActive, nil, powers, nil)
+	return u.penalty(band, cur, rollout, schedule, podActive, powers, nil)
 }
 
 // PenaltyWithPowersDetail scores like PenaltyWithPowers and additionally
@@ -82,15 +74,13 @@ func (u UtilityConfig) PenaltyWithPowers(band Band, cur model.PredictorState, ro
 // decision.
 func (u UtilityConfig) PenaltyWithPowersDetail(band Band, cur model.PredictorState, rollout []model.PredictorState,
 	schedule []cooling.Command, podActive []bool, powers []units.Watts, terms *trace.PenaltyTerms) float64 {
-	return u.penalty(band, cur, rollout, schedule, podActive, nil, powers, terms)
+	return u.penalty(band, cur, rollout, schedule, podActive, powers, terms)
 }
 
-// penalty is the shared scoring core; powers, when non-nil, replaces
-// per-step m.PredictPower lookups; terms, when non-nil, receives the
+// penalty is the shared scoring core; terms, when non-nil, receives the
 // per-term breakdown (it is reset first).
 func (u UtilityConfig) penalty(band Band, cur model.PredictorState, rollout []model.PredictorState,
-	schedule []cooling.Command, podActive []bool, m *model.Model, powers []units.Watts,
-	terms *trace.PenaltyTerms) float64 {
+	schedule []cooling.Command, podActive []bool, powers []units.Watts, terms *trace.PenaltyTerms) float64 {
 
 	if terms != nil {
 		*terms = trace.PenaltyTerms{}
@@ -153,13 +143,7 @@ func (u UtilityConfig) penalty(band Band, cur model.PredictorState, rollout []mo
 			}
 		}
 		if u.EnergyWeight > 0 && si < len(schedule) {
-			pw := units.Watts(0)
-			if powers != nil {
-				pw = powers[si]
-			} else {
-				pw = m.PredictPower(schedule[si])
-			}
-			v := u.EnergyWeight * pw.Kilowatts()
+			v := u.EnergyWeight * powers[si].Kilowatts()
 			pen += v
 			if terms != nil {
 				terms.Energy += v

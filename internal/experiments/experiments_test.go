@@ -120,12 +120,12 @@ func TestYearStudyShapes(t *testing.T) {
 }
 
 func TestCellLookup(t *testing.T) {
-	st := &YearStudy{Locations: []string{"A"}, Systems: []string{"S"}}
-	st.Cells = append(st.Cells, make([]metrics.Summary, 1))
-	if _, ok := st.Cell("A", "S"); !ok {
+	g := &Grid{Locations: []string{"A"}, Systems: []string{"S"}}
+	g.Cells = append(g.Cells, make([]metrics.Summary, 1))
+	if _, ok := g.Cell("A", "S"); !ok {
 		t.Error("expected hit")
 	}
-	if _, ok := st.Cell("B", "S"); ok {
+	if _, ok := g.Cell("B", "S"); ok {
 		t.Error("expected miss")
 	}
 }
@@ -146,7 +146,7 @@ func TestFig1DiskCorrelation(t *testing.T) {
 	}
 	// Disks sit well above inlets at 50% utilization.
 	mid := r.Series[len(r.Series)/2]
-	if d := float64(mid.DiskMax - mid.InletMax); d < 8 || d > 20 {
+	if d := mid.DiskMax - mid.InletMax; d < 8 || d > 20 {
 		t.Errorf("disk offset %0.1f°C, want 8–20 (Fig 1 shows ~12)", d)
 	}
 	if !strings.Contains(r.Table(), "Figure 1") {

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"coolair/internal/cooling"
 	"coolair/internal/core"
 	"coolair/internal/model"
 	"coolair/internal/sim"
-	"coolair/internal/units"
+	"coolair/internal/trace"
 	"coolair/internal/weather"
 	"coolair/internal/workload"
 )
@@ -16,7 +18,7 @@ import (
 // cooling over two summer days (Figure 1). The paper ran a workload that
 // kept disks 50% utilized on July 6–7.
 type Fig1Result struct {
-	Series []sim.SeriesPoint
+	Series []trace.TickRecord
 }
 
 // RunFig1 reproduces Figure 1: two July days at the prototype's home
@@ -55,11 +57,8 @@ func (r *Fig1Result) Table() string {
 		if i%30 != 0 { // hourly (series at 2-minute cadence)
 			continue
 		}
-		h := p.Time/3600 - float64(int(p.Time/86400)*24)
-		_ = h
 		fmt.Fprintf(&b, "%6.1f %9.1f %9.1f %9.1f %9.1f %9.1f\n",
-			float64(i)/30, float64(p.Outside), float64(p.InletMin), float64(p.InletMax),
-			float64(p.DiskMin), float64(p.DiskMax))
+			float64(i)/30, p.OutsideTemp, p.InletMin, p.InletMax, p.DiskMin, p.DiskMax)
 	}
 	return b.String()
 }
@@ -70,7 +69,7 @@ func (r *Fig1Result) Table() string {
 func (r *Fig1Result) CorrelationDiskInlet() float64 {
 	var sx, sy, sxx, syy, sxy, n float64
 	for _, p := range r.Series {
-		x, y := float64(p.InletMax), float64(p.DiskMax)
+		x, y := p.InletMax, p.DiskMax
 		sx += x
 		sy += y
 		sxx += x * x
@@ -83,18 +82,7 @@ func (r *Fig1Result) CorrelationDiskInlet() float64 {
 	if den <= 0 {
 		return 0
 	}
-	return num / sqrt(den)
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return num / math.Sqrt(den)
 }
 
 // Fig5Result holds the model-validation error CDFs (Figure 5) plus the
@@ -154,7 +142,7 @@ func (r *Fig5Result) Table() string {
 // DayRunResult holds one day-long managed run (Figures 6 and 7).
 type DayRunResult struct {
 	Name   string
-	Series []sim.SeriesPoint
+	Series []trace.TickRecord
 }
 
 // RunFig6 reproduces the baseline day run (Figure 6): the baseline
@@ -200,8 +188,7 @@ func (r *DayRunResult) Table() string {
 			continue
 		}
 		fmt.Fprintf(&b, "%6.1f %9.1f %9.1f %9.1f %6.0f %14v\n",
-			float64(i)/30, float64(p.Outside), float64(p.InletMin), float64(p.InletMax),
-			p.FanSpeed*100, p.Mode)
+			float64(i)/30, p.OutsideTemp, p.InletMin, p.InletMax, p.FanSpeed*100, cooling.Mode(p.Mode))
 	}
 	return b.String()
 }
@@ -214,7 +201,7 @@ func (r *DayRunResult) Smoothness() float64 {
 	const window = 6 // 6 × 2-minute samples = 12 minutes
 	worst := 0.0
 	for i := 0; i+window < len(r.Series); i++ {
-		d := float64(r.Series[i+window].InletMax - r.Series[i].InletMax)
+		d := r.Series[i+window].InletMax - r.Series[i].InletMax
 		if d < 0 {
 			d = -d
 		}
@@ -224,5 +211,3 @@ func (r *DayRunResult) Smoothness() float64 {
 	}
 	return worst
 }
-
-var _ = units.Celsius(0)

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"coolair/internal/core"
-	"coolair/internal/metrics"
 	"coolair/internal/weather"
 )
 
@@ -14,9 +10,7 @@ import (
 // (Var-Low-Recirc vs Var-High-Recirc), and the full Variation version
 // (which adds the adaptive band and weather prediction).
 type PlacementStudy struct {
-	Locations []string
-	Systems   []string
-	Cells     [][]metrics.Summary
+	Grid
 }
 
 // RunPlacementStudy runs the Figure 11 ablation.
@@ -30,58 +24,14 @@ func (l *Lab) RunPlacementStudy(cls []weather.Climate, yearDays int) (*Placement
 		CoolAirSystem(core.VersionVarHighRecirc),
 		CoolAirSystem(core.VersionVariation),
 	}
-	grid, err := l.runGrid(cls, systems, YearDays(yearDays), l.Facebook())
+	g, err := l.runStudy(cls, systems, yearDays, l.Facebook())
 	if err != nil {
 		return nil, err
 	}
-	st := &PlacementStudy{}
-	for _, c := range cls {
-		st.Locations = append(st.Locations, c.Name)
-	}
-	for _, s := range systems {
-		st.Systems = append(st.Systems, s.Name)
-	}
-	st.Cells = make([][]metrics.Summary, len(cls))
-	for ci := range cls {
-		st.Cells[ci] = make([]metrics.Summary, len(systems))
-		for si := range systems {
-			st.Cells[ci][si] = grid[ci][si].Summary
-		}
-	}
-	return st, nil
+	return &PlacementStudy{g}, nil
 }
 
 // Table renders Figure 11.
 func (s *PlacementStudy) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 11 — Temperature ranges by spatial placement and band policy, avg (min–max), °C\n")
-	fmt.Fprintf(&b, "%-16s", "System")
-	for _, loc := range s.Locations {
-		fmt.Fprintf(&b, "%18s", loc)
-	}
-	b.WriteByte('\n')
-	for si, sys := range s.Systems {
-		fmt.Fprintf(&b, "%-16s", sys)
-		for ci := range s.Locations {
-			c := s.Cells[ci][si]
-			fmt.Fprintf(&b, "%8.1f (%3.1f–%4.1f)", c.AvgWorstDailyRange, c.MinWorstDailyRange, c.MaxWorstDailyRange)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Cell returns the summary for a location/system pair.
-func (s *PlacementStudy) Cell(loc, sys string) (metrics.Summary, bool) {
-	for ci, l := range s.Locations {
-		if l != loc {
-			continue
-		}
-		for si, y := range s.Systems {
-			if y == sys {
-				return s.Cells[ci][si], true
-			}
-		}
-	}
-	return metrics.Summary{}, false
+	return s.table("Figure 11 — Temperature ranges by spatial placement and band policy, avg (min–max), °C", 16, 18, rangeCell)
 }

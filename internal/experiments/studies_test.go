@@ -106,13 +106,16 @@ func TestMaxTempStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.At30) != 1 || len(st.At25) != 1 {
-		t.Fatal("rows")
+	if len(st.Locations) != 1 || len(st.Systems) != 3 {
+		t.Fatalf("grid %v × %v", st.Locations, st.Systems)
 	}
+	base, _ := st.Cell("Newark", "Baseline")
+	at30, _ := st.Cell("Newark", "All-ND@30")
+	at25, _ := st.Cell("Newark", "All-ND@25")
 	// §5.2: CoolAir's range-reduction benefit tends to be larger when
 	// the operator accepts the higher 30°C maximum.
-	red30 := st.At30[0][0].MaxWorstDailyRange - st.At30[0][1].MaxWorstDailyRange
-	red25 := st.At25[0][0].MaxWorstDailyRange - st.At25[0][1].MaxWorstDailyRange
+	red30 := base.MaxWorstDailyRange - at30.MaxWorstDailyRange
+	red25 := base.MaxWorstDailyRange - at25.MaxWorstDailyRange
 	if red30 < red25-2 {
 		t.Errorf("reduction at Max=30 (%0.1f) should not trail Max=25 (%0.1f) by >2°C", red30, red25)
 	}
@@ -132,11 +135,17 @@ func TestForecastStudyShape(t *testing.T) {
 	// §5.2: ±5°C forecast bias changes max range by ~1°C and PUE by
 	// ~0.01 — the band absorbs forecast error. Allow slack for the
 	// scaled run.
-	dRange := st.Plus5[0].MaxWorstDailyRange - st.Zero[0].MaxWorstDailyRange
+	minus5, _ := st.Cell("Newark", "All-ND-5")
+	zero, ok := st.Cell("Newark", "All-ND+0")
+	plus5, _ := st.Cell("Newark", "All-ND+5")
+	if !ok || len(st.Systems) != 3 {
+		t.Fatalf("systems: %v", st.Systems)
+	}
+	dRange := plus5.MaxWorstDailyRange - zero.MaxWorstDailyRange
 	if dRange > 3 {
 		t.Errorf("+5°C bias widened max range by %0.1f°C; the band should absorb most of it", dRange)
 	}
-	dPUE := st.Minus5[0].PUE - st.Zero[0].PUE
+	dPUE := minus5.PUE - zero.PUE
 	if dPUE > 0.15 {
 		t.Errorf("−5°C bias raised PUE by %0.3f; should be modest", dPUE)
 	}

@@ -15,9 +15,7 @@ import (
 // barely helps; Energy-DEF saves some PUE but widens maximum ranges
 // beyond even the baseline (Newark 10→19°C for PUE 1.17→1.13).
 type TemporalStudy struct {
-	Locations []string
-	Systems   []string
-	Cells     [][]metrics.Summary
+	Grid
 }
 
 // RunTemporalStudy runs the deferrable-workload comparison.
@@ -31,61 +29,17 @@ func (l *Lab) RunTemporalStudy(cls []weather.Climate, yearDays int) (*TemporalSt
 		CoolAirSystem(core.VersionAllDEF),
 		CoolAirSystem(core.VersionEnergyDEF),
 	}
-
-	grid, err := l.runGrid(cls, systems, YearDays(yearDays), l.Facebook())
+	g, err := l.runStudy(cls, systems, yearDays, l.Facebook())
 	if err != nil {
 		return nil, err
 	}
-	st := &TemporalStudy{}
-	for _, c := range cls {
-		st.Locations = append(st.Locations, c.Name)
-	}
-	for _, s := range systems {
-		st.Systems = append(st.Systems, s.Name)
-	}
-	st.Cells = make([][]metrics.Summary, len(cls))
-	for ci := range cls {
-		st.Cells[ci] = make([]metrics.Summary, len(systems))
-		for si := range systems {
-			st.Cells[ci][si] = grid[ci][si].Summary
-		}
-	}
-	return st, nil
+	return &TemporalStudy{g}, nil
 }
 
 // Table renders max ranges and PUEs per system.
 func (s *TemporalStudy) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "§5.2 — Temporal scheduling (max daily range °C / PUE)\n")
-	fmt.Fprintf(&b, "%-12s", "System")
-	for _, loc := range s.Locations {
-		fmt.Fprintf(&b, "%16s", loc)
-	}
-	b.WriteByte('\n')
-	for si, sys := range s.Systems {
-		fmt.Fprintf(&b, "%-12s", sys)
-		for ci := range s.Locations {
-			c := s.Cells[ci][si]
-			fmt.Fprintf(&b, "%8.1f /%6.3f", c.MaxWorstDailyRange, c.PUE)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Cell returns the summary for a location/system pair.
-func (s *TemporalStudy) Cell(loc, sys string) (metrics.Summary, bool) {
-	for ci, l := range s.Locations {
-		if l != loc {
-			continue
-		}
-		for si, y := range s.Systems {
-			if y == sys {
-				return s.Cells[ci][si], true
-			}
-		}
-	}
-	return metrics.Summary{}, false
+	return s.table("§5.2 — Temporal scheduling (max daily range °C / PUE)", 12, 16,
+		func(c metrics.Summary) string { return fmt.Sprintf("%8.1f /%6.3f", c.MaxWorstDailyRange, c.PUE) })
 }
 
 // CostStudy is §5.2 "Cost of managing temperature and variation": the
@@ -114,16 +68,13 @@ func (l *Lab) RunCostStudy(cls []weather.Climate, yearDays int) (*CostStudy, err
 		CoolAirSystem(core.VersionTemperature),
 		CoolAirSystem(core.VersionAllND),
 	}
-	grid, err := l.runGrid(cls, systems, YearDays(yearDays), l.Facebook())
+	g, err := l.runStudy(cls, systems, yearDays, l.Facebook())
 	if err != nil {
 		return nil, err
 	}
-	st := &CostStudy{}
-	for ci, c := range cls {
-		st.Locations = append(st.Locations, c.Name)
-		energy := grid[ci][0].Summary
-		temp := grid[ci][1].Summary
-		allnd := grid[ci][2].Summary
+	st := &CostStudy{Locations: g.Locations}
+	for _, row := range g.Cells {
+		energy, temp, allnd := row[0], row[1], row[2]
 
 		// Temperature targets Max−1 vs Energy's Max: per-degree cost.
 		st.KWhPerDegTemp = append(st.KWhPerDegTemp, scaleYear(temp.CoolingKWh-energy.CoolingKWh, yearDays))

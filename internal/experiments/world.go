@@ -34,16 +34,15 @@ type WorldSite struct {
 // RunWorldStudy evaluates nSites of the world grid over yearDays
 // sampled days. nSites ≤ 0 runs the full 1520-site grid.
 func (l *Lab) RunWorldStudy(nSites, yearDays int) (*WorldStudy, error) {
-	grid := worldSubsample(nSites)
+	cls := worldSubsample(nSites)
 	systems := []System{BaselineSystem(), CoolAirSystem(core.VersionAllND)}
-	results, err := l.runGrid(grid, systems, YearDays(yearDays), l.Facebook())
+	g, err := l.runStudy(cls, systems, yearDays, l.Facebook())
 	if err != nil {
 		return nil, err
 	}
 	st := &WorldStudy{}
-	for ci, c := range grid {
-		base := results[ci][0].Summary
-		ca := results[ci][1].Summary
+	for ci, c := range cls {
+		base, ca := g.Cells[ci][0], g.Cells[ci][1]
 		st.Sites = append(st.Sites, WorldSite{
 			Name: c.Name, Lat: c.Lat, Lon: c.Lon,
 			RangeReduction:   base.MaxWorstDailyRange - ca.MaxWorstDailyRange,

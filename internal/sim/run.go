@@ -38,7 +38,8 @@ type RunConfig struct {
 	// KeepAllActive disables server power management (the baseline
 	// system controls only the cooling regime).
 	KeepAllActive bool
-	// RecordSeries captures a 2-minute time series for figure plots.
+	// RecordSeries captures the 2-minute sample stream in Result.Series
+	// (figure plots, the coolair-sim -csv output).
 	RecordSeries bool
 	// CollectSnapshots records Modeler snapshots (for held-out model
 	// validation, Figure 5).
@@ -121,31 +122,17 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// SeriesPoint is one sample of the recorded run time series.
-type SeriesPoint struct {
-	Time      float64 // absolute seconds
-	Outside   units.Celsius
-	InletMin  units.Celsius
-	InletMax  units.Celsius
-	DiskMin   units.Celsius
-	DiskMax   units.Celsius
-	InsideRH  units.RelHumidity
-	Mode      cooling.Mode
-	FanSpeed  float64
-	CompSpeed float64
-	CoolingW  units.Watts
-	ITW       units.Watts
-	Util      float64
-}
-
 // Result is the outcome of one run.
 type Result struct {
 	Controller string
 	Fidelity   Fidelity
 	Location   string
 	Summary    metrics.Summary
-	Series     []SeriesPoint
-	Snapshots  []model.Snapshot
+	// Series is the 2-minute sample stream (RunConfig.RecordSeries): the
+	// same records, in the same order, a Recorder attached to the run
+	// receives.
+	Series    []trace.TickRecord
+	Snapshots []model.Snapshot
 	// Jobs accounting.
 	JobsSubmitted, JobsCompleted int
 	// MaxPowerCycleRate is the worst per-server disk power-cycle rate
@@ -380,9 +367,14 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 				diskSamples = append(diskSamples, float64(hottest))
 			}
 
-			if cfg.Recorder != nil && step%snapSteps == 0 {
+			if step%snapSteps == 0 && (cfg.Recorder != nil || cfg.RecordSeries) {
 				fillTick(&trec, env, eff, day)
-				cfg.Recorder.RecordTick(&trec)
+				if cfg.Recorder != nil {
+					cfg.Recorder.RecordTick(&trec)
+				}
+				if cfg.RecordSeries {
+					res.Series = append(res.Series, trec)
+				}
 			}
 			if cpSteps > 0 && (step+1)%cpSteps == 0 {
 				cfg.Checkpoint(&Checkpoint{
@@ -393,9 +385,6 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 					Plant:   env.Plant.StateSnapshot(),
 					Cmd:     loop.cmd,
 				})
-			}
-			if cfg.RecordSeries && step%snapSteps == 0 {
-				res.Series = append(res.Series, seriesPoint(env, eff))
 			}
 			if cfg.CollectSnapshots && step%snapSteps == snapSteps-1 {
 				res.Snapshots = append(res.Snapshots, env.snapshot(eff))
@@ -512,27 +501,8 @@ func countMetered(recs []hadoopJobRecord) int {
 	return n
 }
 
-func seriesPoint(e *Env, eff cooling.Command) SeriesPoint {
-	out := e.outside()
-	p := SeriesPoint{
-		Time:      e.now,
-		Outside:   out.Temp,
-		InsideRH:  e.state.RelHumidity(),
-		Mode:      eff.Mode,
-		FanSpeed:  eff.FanSpeed,
-		CompSpeed: eff.CompressorSpeed,
-		CoolingW:  e.Plant.Power(),
-		ITW:       e.Cluster.ITPower(),
-		Util:      e.Cluster.Utilization(),
-	}
-	p.InletMin, p.InletMax = minMax(e.state.PodInlet)
-	p.DiskMin, p.DiskMax = minMax(e.state.Disk)
-	return p
-}
-
-// fillTick writes one flight-recorder telemetry sample into the reused
-// scratch record (same channels as SeriesPoint, plus the day and the
-// outside humidity).
+// fillTick writes one 2-minute sample into the reused scratch record;
+// the recorder and Result.Series both take it from there.
 func fillTick(t *trace.TickRecord, e *Env, eff cooling.Command, day int) {
 	out := e.outside()
 	*t = trace.TickRecord{

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"coolair/internal/hadoop"
 	"coolair/internal/model"
 	"coolair/internal/tks"
+	"coolair/internal/trace"
 	"coolair/internal/weather"
 	"coolair/internal/workload"
 )
@@ -90,6 +92,34 @@ func TestBaselineDayRun(t *testing.T) {
 	}
 	if res.JobsSubmitted == 0 {
 		t.Error("no jobs submitted")
+	}
+}
+
+// TestSeriesIsTickStream pins that one sample feeds both outputs: a
+// run that records its series and has a flight recorder attached puts
+// the same trace.TickRecord values, in the same order, in Result.Series
+// and in the recorder.
+func TestSeriesIsTickStream(t *testing.T) {
+	env, err := NewEnv(weather.Newark, RealSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := trace.NewRing(0, 2*720)
+	res, err := Run(env, tks.Baseline(), RunConfig{
+		Days: []int{150, 151}, Trace: workload.Facebook(64, 1),
+		KeepAllActive: true, RecordSeries: true, Recorder: ring,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := ring.Ticks()
+	if len(res.Series) != 2*720 || len(ticks) != len(res.Series) {
+		t.Fatalf("series has %d samples, ring %d; want %d each", len(res.Series), len(ticks), 2*720)
+	}
+	for i := range ticks {
+		if !reflect.DeepEqual(res.Series[i], ticks[i]) {
+			t.Fatalf("sample %d differs:\n  series %+v\n  ring   %+v", i, res.Series[i], ticks[i])
+		}
 	}
 }
 

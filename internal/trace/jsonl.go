@@ -386,8 +386,9 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// WriteTickCSV writes the tick series as CSV (same columns as the
-// coolair-sim -csv output, plus the day).
+// WriteTickCSV writes the tick series as CSV, one row per sample with
+// the mode as its integer code. coolair-sim -csv and coolair-trace -csv
+// ticks both print through it.
 func (t *Data) WriteTickCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "time_s,day,outside_c,outside_rh,inlet_min_c,inlet_max_c,disk_min_c,disk_max_c,inside_rh,mode,fan,comp,cooling_w,it_w,util"); err != nil {
