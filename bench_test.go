@@ -340,7 +340,8 @@ func BenchmarkClusterReplay(b *testing.B) {
 }
 
 // BenchmarkPredictWindow isolates one horizon prediction — the unit of
-// work the optimizer repeats once per candidate regime per period.
+// work the optimizer repeats once per candidate regime per period — as
+// a one-candidate PredictWindowBatch.
 func BenchmarkPredictWindow(b *testing.B) {
 	l := lab(b)
 	m, err := l.Model(coolair.SmoothSim)
@@ -375,13 +376,17 @@ func BenchmarkPredictWindow(b *testing.B) {
 		state.PodTemp[p] = units.Celsius(26 + float64(p))
 		state.PodTempPrev[p] = units.Celsius(25.8 + float64(p))
 	}
-	var sc model.PredictScratch
+	var sc model.BatchScratch
+	skip := []bool{false}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictWindowInto(&sc, state, sched); err != nil {
+		if err := m.PredictWindowBatch(&sc, state, sched, len(sched), skip); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if sc.Failed(0) {
+		b.Fatal("prediction failed")
 	}
 }
 

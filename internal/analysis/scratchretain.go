@@ -8,7 +8,7 @@ import (
 
 // Scratchretain flags *Into / *Buf / *Batch functions that retain their
 // caller-owned scratch argument beyond the call. The allocation-free hot
-// path (PredictWindowInto, PredictWindowBatch, PredictPowerBuf, …) works
+// path (PredictWindowBatch, PredictPowerBuf, PreviewScheduleInto, …) works
 // because the caller owns the buffer and may reuse or resize it between
 // calls; a callee that squirrels the slice away in a field, a
 // package-level variable, or a returned closure aliases that scratch

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"coolair/internal/units"
-	"coolair/internal/weather"
 )
 
 // Plant is an installed cooling infrastructure: one free-cooling unit,
@@ -17,9 +16,6 @@ import (
 type Plant struct {
 	FC FreeCoolingUnit
 	AC DXAirConditioner
-	// Evap, when non-nil, adiabatically pre-cools the intake air during
-	// free cooling (§2's warm-climate option).
-	Evap *EvaporativeCooler
 
 	mode       Mode
 	prevMode   Mode
@@ -193,25 +189,11 @@ func (p *Plant) Airflow() float64 {
 	return p.FC.Airflow(p.fanSpeed)
 }
 
-// Intake returns the air state actually entering the cold aisle under
-// free cooling (after any evaporative pre-cooling), and whether the
-// evaporative stage is running.
-func (p *Plant) Intake(outside weather.Conditions) (weather.Conditions, bool) {
-	if !p.DamperOpen() || p.Evap == nil {
-		return outside, false
-	}
-	return p.Evap.Condition(outside)
-}
-
 // Power returns the current electrical draw of the cooling plant.
 func (p *Plant) Power() units.Watts {
 	switch p.mode {
 	case ModeFreeCooling:
-		pw := p.FC.Power(p.fanSpeed)
-		if p.Evap != nil {
-			pw += p.Evap.PumpPower
-		}
-		return pw
+		return p.FC.Power(p.fanSpeed)
 	case ModeACFan:
 		return p.AC.Power(0)
 	case ModeACCool:

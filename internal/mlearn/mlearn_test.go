@@ -202,7 +202,10 @@ func TestCrossValPrefersTrueModelClass(t *testing.T) {
 		}
 		y = append(y, val+rng.NormFloat64()*0.1)
 	}
-	_, idx, err := SelectBest([]Fitter{OLSFitter(0), TreeFitter(TreeOptions{MaxDepth: 3})}, X, y, 5, 11)
+	tree := func(X [][]float64, y []float64) (Regressor, error) {
+		return FitModelTree(X, y, TreeOptions{MaxDepth: 3})
+	}
+	_, idx, err := SelectBest([]Fitter{OLSFitter(0), tree}, X, y, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestCrossValPrefersTrueModelClass(t *testing.T) {
 	}
 	// Linear data: OLS should win (trees overfit).
 	X2, y2 := synth(500, 2, []float64{1.5}, 0.5, 12)
-	_, idx2, err := SelectBest([]Fitter{OLSFitter(0), TreeFitter(TreeOptions{MaxDepth: 3})}, X2, y2, 5, 13)
+	_, idx2, err := SelectBest([]Fitter{OLSFitter(0), tree}, X2, y2, 5, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

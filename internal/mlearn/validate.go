@@ -52,11 +52,6 @@ func LMSFitter(trials int, seed int64) Fitter {
 	return func(X [][]float64, y []float64) (Regressor, error) { return FitLMS(X, y, trials, seed) }
 }
 
-// TreeFitter adapts FitModelTree to the Fitter signature.
-func TreeFitter(opts TreeOptions) Fitter {
-	return func(X [][]float64, y []float64) (Regressor, error) { return FitModelTree(X, y, opts) }
-}
-
 // CrossValRMSE estimates a fitter's generalization error with k-fold
 // cross validation (deterministic shuffling by seed). It returns the
 // RMSE pooled over held-out folds.

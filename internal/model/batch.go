@@ -8,28 +8,26 @@ import (
 	"coolair/internal/units"
 )
 
-// Batched candidate evaluation (DESIGN.md §11). The Cooling Optimizer
-// scores ~14 candidate regimes per period, and every one of them starts
-// from the same observed state: the serial path rebuilt the same
-// state-only feature prefix and resolved the same transition-model map
-// lookups once per candidate per pod. PredictWindowBatch hoists all of
-// that out of the per-candidate loop — the feature template, the
-// humidity operands, and a per-mode model table resolved once per
-// decision — and evaluates every candidate's rollout into one
-// struct-of-arrays arena. Per-candidate float accumulation order is
-// exactly PredictWindowInto's, so a batched decision is bit-identical
-// to a serial one (the golden-digest and equivalence suites pin this).
+// Window prediction (DESIGN.md §11). The Cooling Optimizer scores ~14
+// candidate regimes per period, and every one of them starts from the
+// same observed state. PredictWindowBatch, the only window predictor,
+// hoists everything candidate-independent out of the per-candidate
+// loop — the state-only feature prefix, the humidity operands, and a
+// per-mode model table resolved once per decision — and evaluates every
+// candidate's rollout into one struct-of-arrays arena. The test suite
+// checks it bit for bit against a naive one-candidate-at-a-time oracle,
+// and the golden decision digest pins its float accumulation order.
 
 // batchModeTable caches the models one cooling mode resolves to for the
 // current decision. Within a decision every candidate sharing a mode
 // shares a transition (the plant adopts the commanded mode on the first
 // preview step, and the transition depends only on the start state and
-// the candidate mode), so the fallback-ladder map lookups collapse to
-// one table fill per mode per decision.
+// the candidate mode), so the fallback-ladder lookups collapse to one
+// table fill per mode per decision.
 type batchModeTable struct {
 	set bool
 	// direct: a direct 10-minute horizon model exists; otherwise the
-	// candidate falls back to chained prediction, as in PredictWindowInto.
+	// candidate falls back to chained prediction.
 	direct bool
 	temp   []mlearn.Regressor
 	hum    mlearn.Regressor
@@ -43,10 +41,7 @@ type batchModeTable struct {
 
 func (t *batchModeTable) fill(m *Model, tr cooling.Transition) {
 	t.set = true
-	regs, ok := m.hTemp[tr]
-	if !ok {
-		regs, ok = m.hTemp[cooling.Transition{From: tr.To, To: tr.To}]
-	}
+	regs, ok := resolve(&m.hTemp, hasPods, tr, false)
 	t.direct = ok
 	if !ok {
 		return
@@ -60,19 +55,19 @@ func (t *batchModeTable) fill(m *Model, tr cooling.Transition) {
 		lin, _ := r.(*mlearn.Linear)
 		t.tempLin[p] = lin
 	}
-	t.hum = m.horizonHumModel(tr)
+	t.hum, _ = resolve(&m.hHum, hasModel, tr, false)
 	t.humLin, _ = t.hum.(*mlearn.Linear)
 }
 
 // BatchScratch holds the caller-owned struct-of-arrays buffers of one
 // batched evaluation: a state arena and pod-temperature arena spanning
 // every candidate's rollout, a per-candidate failure mask, the hoisted
-// per-decision feature template, and the per-mode model tables. Like
-// PredictScratch, a BatchScratch must not be shared between concurrent
-// PredictWindowBatch calls, and the rollouts it exposes are valid only
-// until the next call with the same scratch. It never retains the
-// caller's schedule or skip slices (the scratchretain analyzer checks
-// *Batch functions for exactly that).
+// per-decision feature template, and the per-mode model tables. A
+// BatchScratch must not be shared between concurrent PredictWindowBatch
+// calls, and the rollouts it exposes are valid only until the next call
+// with the same scratch. It never retains the caller's schedule or skip
+// slices (the scratchretain analyzer checks *Batch functions for exactly
+// that). The Model itself stays read-only and may be shared freely.
 type BatchScratch struct {
 	n, steps, pods int
 
@@ -105,9 +100,9 @@ func (sc *BatchScratch) Rollout(i int) []PredictorState {
 	return sc.states[i*sc.steps : (i+1)*sc.steps]
 }
 
-// Failed reports whether candidate i's prediction failed (the batched
-// analogue of a PredictWindowInto error; the candidate degrades out of
-// scoring exactly as on the serial path).
+// Failed reports whether candidate i's prediction failed (a malformed
+// feature vector or no temperature model at all); the candidate then
+// degrades out of scoring.
 func (sc *BatchScratch) Failed(i int) bool { return sc.failed[i] }
 
 func (sc *BatchScratch) resize(n, steps, pods int) {
@@ -141,11 +136,16 @@ func (sc *BatchScratch) resize(n, steps, pods int) {
 // one pass. scheds is the flat schedule arena: candidate i's effective
 // command schedule is scheds[i*steps : (i+1)*steps]. Candidates with
 // skip[i] set (e.g. a failed plant preview) are left unevaluated.
-// Per-candidate results are exactly PredictWindowInto's,
-// bit for bit; failures are reported per candidate via Failed rather
-// than an error. The returned error covers only whole-batch misuse
-// (geometry or pod-count mismatch), mirroring the condition every
-// serial call would have failed with.
+//
+// A candidate whose transition has a direct 10-minute horizon model
+// predicts the window's end state in one regression on the schedule's
+// mean fan and compressor speeds; the intermediate states are
+// interpolated between the start and that end, giving the utility
+// function a path to score without chaining error. Otherwise the
+// candidate falls back to chained 2-minute prediction (predictChain).
+// Failures are reported per candidate via Failed rather than an error.
+// The returned error covers only whole-batch misuse (geometry or
+// pod-count mismatch).
 func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, scheds []cooling.Command, steps int, skip []bool) error {
 	if steps <= 0 {
 		return fmt.Errorf("model: empty schedule")
@@ -212,13 +212,7 @@ func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, sched
 		if !mode.Valid() || sc.tables[mode].set {
 			continue
 		}
-		tr := cooling.Transition{From: mode, To: mode}
-		if mode != sc.start.Mode {
-			tr = cooling.Transition{From: sc.start.Mode, To: mode}
-		} else if sc.start.Mode != sc.start.PrevMode {
-			tr = cooling.Transition{From: sc.start.PrevMode, To: mode}
-		}
-		sc.tables[mode].fill(m, tr)
+		sc.tables[mode].fill(m, transition(sc.start.PrevMode, sc.start.Mode, mode))
 	}
 
 	for i := 0; i < n; i++ {
@@ -230,9 +224,9 @@ func (m *Model) PredictWindowBatch(sc *BatchScratch, start PredictorState, sched
 	return nil
 }
 
-// evalBatchCandidate evaluates candidate i into its arena slots. It
-// mirrors PredictWindowInto's math statement for statement; any
-// deviation here breaks the golden decision digest.
+// evalBatchCandidate evaluates candidate i into its arena slots. Any
+// change to its float operations or their order breaks the golden
+// decision digest.
 func (m *Model) evalBatchCandidate(sc *BatchScratch, scheds []cooling.Command, steps, i int) {
 	sched := scheds[i*steps : (i+1)*steps]
 	states := sc.states[i*steps : (i+1)*steps]
@@ -245,8 +239,7 @@ func (m *Model) evalBatchCandidate(sc *BatchScratch, scheds []cooling.Command, s
 		t = &sc.tables[mode]
 	}
 	if t == nil || !t.set || !t.direct {
-		// No direct horizon model: chained prediction, exactly as the
-		// serial path falls back to PredictInto.
+		// No direct horizon model: chained prediction.
 		if err := m.predictChain(feat, states, temps, sc.start, sched, nil); err != nil {
 			sc.failed[i] = true
 		}

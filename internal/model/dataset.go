@@ -159,20 +159,3 @@ func powerFeatures(fan, comp float64) []float64 {
 func powerFeaturesInto(dst []float64, fan, comp float64) []float64 {
 	return append(dst, fan, comp)
 }
-
-// labelOf classifies the interval (cur → next) for model grouping. A
-// sample counts as a steady-regime sample only when the mode has been
-// unchanged since the *previous* interval too: the first two intervals
-// after a regime change belong to the transition model. Without this,
-// post-transition transients contaminate the steady models and the
-// chained predictor extrapolates them (e.g. "AC-fan mixing keeps
-// cooling forever").
-func labelOf(prev, cur, next Snapshot) cooling.Transition {
-	if next.Mode != cur.Mode {
-		return cooling.Transition{From: cur.Mode, To: next.Mode}
-	}
-	if cur.Mode != prev.Mode {
-		return cooling.Transition{From: prev.Mode, To: next.Mode}
-	}
-	return cooling.Transition{From: next.Mode, To: next.Mode}
-}

@@ -1,13 +1,5 @@
 package model
 
-import (
-	"fmt"
-
-	"coolair/internal/cooling"
-	"coolair/internal/mlearn"
-	"coolair/internal/units"
-)
-
 // Horizon models predict one full optimizer period (10 minutes) ahead in
 // a single regression, rather than by chaining five 2-minute steps.
 // Chained lag-feature models are validated to the paper's accuracy on
@@ -25,23 +17,8 @@ const HorizonSteps = 5
 // log. A training window is usable when the regime is constant across
 // it (the optimizer holds one command per period, so this is exactly
 // the deployment distribution).
-func (m *Model) fitHorizon(snaps []Snapshot, pods int, opts LearnerOptions) {
-	type group struct {
-		tempX [][][]float64
-		tempY [][]float64
-		humX  [][]float64
-		humY  []float64
-	}
-	groups := map[cooling.Transition]*group{}
-	grp := func(tr cooling.Transition) *group {
-		g := groups[tr]
-		if g == nil {
-			g = &group{tempX: make([][][]float64, pods), tempY: make([][]float64, pods)}
-			groups[tr] = g
-		}
-		return g
-	}
-
+func (m *Model) fitHorizon(snaps []Snapshot, opts LearnerOptions) {
+	var groups trainingGroups
 	for i := 1; i+HorizonSteps < len(snaps); i++ {
 		prev, cur := snaps[i-1], snaps[i]
 		constant := true
@@ -59,179 +36,7 @@ func (m *Model) fitHorizon(snaps []Snapshot, pods int, opts LearnerOptions) {
 		}
 		fanAvg := fanSum / HorizonSteps
 		compAvg := compSum / HorizonSteps
-		tr := labelOf(prev, cur, snaps[i+1])
-		g := grp(tr)
-		end := snaps[i+HorizonSteps]
-		for p := 0; p < pods; p++ {
-			g.tempX[p] = append(g.tempX[p], tempFeatures(prev, cur, fanAvg, compAvg, p))
-			g.tempY[p] = append(g.tempY[p], float64(end.PodTemp[p]))
-		}
-		g.humX = append(g.humX, humFeatures(cur, fanAvg, compAvg))
-		g.humY = append(g.humY, end.InsideAbs.GramsPerKg())
+		groups.add(transition(prev.Mode, cur.Mode, snaps[i+1].Mode), prev, cur, snaps[i+HorizonSteps], fanAvg, compAvg)
 	}
-
-	cands := []mlearn.Fitter{
-		mlearn.OLSFitter(1e-6),
-		mlearn.LMSFitter(40, opts.Seed),
-	}
-	for tr, g := range groups {
-		if len(g.humX) < opts.MinRows {
-			continue
-		}
-		perPod := make([]mlearn.Regressor, pods)
-		ok := true
-		for p := 0; p < pods; p++ {
-			reg, _, err := mlearn.SelectBest(cands, g.tempX[p], g.tempY[p], 4, opts.Seed+7000+int64(p))
-			if err != nil {
-				ok = false
-				break
-			}
-			perPod[p] = reg
-		}
-		if ok {
-			m.hTemp[tr] = perPod
-		}
-		if hreg, _, err := mlearn.SelectBest(cands, g.humX, g.humY, 4, opts.Seed+7101); err == nil {
-			m.hHum[tr] = hreg
-		}
-	}
-}
-
-// horizonModel resolves the direct 10-minute temperature regressor with
-// the same fallback ladder as the chained models.
-func (m *Model) horizonModel(tr cooling.Transition, p int) mlearn.Regressor {
-	if ms, ok := m.hTemp[tr]; ok {
-		return ms[p]
-	}
-	if ms, ok := m.hTemp[cooling.Transition{From: tr.To, To: tr.To}]; ok {
-		return ms[p]
-	}
-	return nil
-}
-
-func (m *Model) horizonHumModel(tr cooling.Transition) mlearn.Regressor {
-	if h, ok := m.hHum[tr]; ok {
-		return h
-	}
-	if h, ok := m.hHum[cooling.Transition{From: tr.To, To: tr.To}]; ok {
-		return h
-	}
-	return nil
-}
-
-// PredictWindow predicts the state at the end of one optimizer period
-// under the given effective command schedule, using the direct horizon
-// models (falling back to chained prediction for transitions the direct
-// fit lacks). The returned intermediate states are interpolated between
-// the start and the predicted end, giving the utility function a path
-// to score without chaining error.
-func (m *Model) PredictWindow(start PredictorState, schedule []cooling.Command) ([]PredictorState, error) {
-	return m.PredictWindowInto(nil, start, schedule)
-}
-
-// PredictWindowInto is the allocation-free form of PredictWindow: the
-// returned states and their pod-temperature slices are backed by the
-// scratch and remain valid only until the next Into call with the same
-// scratch. A nil scratch falls back to fresh allocations. The Cooling
-// Optimizer calls this once per candidate regime per period, so the
-// scratch removes the dominant steady-state allocation source of the
-// decision loop.
-func (m *Model) PredictWindowInto(sc *PredictScratch, start PredictorState, schedule []cooling.Command) ([]PredictorState, error) {
-	if len(schedule) == 0 {
-		return nil, fmt.Errorf("model: empty schedule")
-	}
-	if len(start.PodTemp) != m.pods {
-		return nil, fmt.Errorf("model: state has %d pods, model has %d", len(start.PodTemp), m.pods)
-	}
-	mode := schedule[0].Mode
-	tr := cooling.Transition{From: mode, To: mode}
-	if mode != start.Mode {
-		tr = cooling.Transition{From: start.Mode, To: mode}
-	} else if start.Mode != start.PrevMode {
-		tr = cooling.Transition{From: start.PrevMode, To: mode}
-	}
-
-	var fanSum, compSum float64
-	for _, c := range schedule {
-		fanSum += c.FanSpeed
-		compSum += c.CompressorSpeed
-	}
-	fanAvg := fanSum / float64(len(schedule))
-	compAvg := compSum / float64(len(schedule))
-
-	// Fall back to chained prediction when no direct model exists.
-	if m.horizonModel(tr, 0) == nil {
-		return m.PredictInto(sc, start, schedule, nil)
-	}
-	var local PredictScratch
-	if sc == nil {
-		sc = &local
-	}
-	states, temps := sc.buffers(len(schedule), m.pods)
-
-	prevSnap := Snapshot{PodTemp: start.PodTempPrev, OutsideTemp: start.OutsideTempPrev}
-	curSnap := Snapshot{
-		PodTemp:     start.PodTemp,
-		OutsideTemp: start.OutsideTemp,
-		FanSpeed:    start.FanSpeed,
-		CompSpeed:   start.CompSpeed,
-		Utilization: start.Utilization,
-		ITLoad:      start.ITLoad,
-		InsideAbs:   start.InsideAbs,
-		OutsideAbs:  start.OutsideAbs,
-	}
-
-	end := PredictorState{
-		PodTemp:         podChunk(temps, len(schedule)-1, m.pods),
-		PodTempPrev:     start.PodTemp,
-		InsideAbs:       start.InsideAbs,
-		OutsideTemp:     start.OutsideTemp,
-		OutsideTempPrev: start.OutsideTemp,
-		OutsideAbs:      start.OutsideAbs,
-		Utilization:     start.Utilization,
-		ITLoad:          start.ITLoad,
-		Mode:            mode,
-		PrevMode:        start.Mode,
-		FanSpeed:        schedule[len(schedule)-1].FanSpeed,
-		CompSpeed:       schedule[len(schedule)-1].CompressorSpeed,
-	}
-	for p := 0; p < m.pods; p++ {
-		reg := m.horizonModel(tr, p)
-		sc.feat = tempFeaturesInto(sc.feat[:0], prevSnap, curSnap, fanAvg, compAvg, p)
-		y, err := mlearn.PredictChecked(reg, sc.feat)
-		if err != nil {
-			return nil, fmt.Errorf("model: pod %d horizon temperature: %w", p, err)
-		}
-		end.PodTemp[p] = units.Celsius(y)
-	}
-	if h := m.horizonHumModel(tr); h != nil {
-		sc.feat = humFeaturesInto(sc.feat[:0], curSnap, fanAvg, compAvg)
-		g, err := mlearn.PredictChecked(h, sc.feat)
-		if err != nil {
-			return nil, fmt.Errorf("model: horizon humidity: %w", err)
-		}
-		if g < 0 {
-			g = 0
-		}
-		end.InsideAbs = units.AbsHumidity(g / 1000)
-	}
-
-	// Interpolate the path (the final state is the prediction itself).
-	for k := 0; k < len(schedule)-1; k++ {
-		f := float64(k+1) / float64(len(schedule))
-		st := PredictorState{
-			PodTemp:     podChunk(temps, k, m.pods),
-			InsideAbs:   units.AbsHumidity(units.Lerp(float64(start.InsideAbs), float64(end.InsideAbs), f)),
-			OutsideTemp: start.OutsideTemp,
-			Utilization: start.Utilization,
-			ITLoad:      start.ITLoad,
-			Mode:        mode,
-		}
-		for p := 0; p < m.pods; p++ {
-			st.PodTemp[p] = units.Celsius(units.Lerp(float64(start.PodTemp[p]), float64(end.PodTemp[p]), f))
-		}
-		states[k] = st
-	}
-	states[len(states)-1] = end
-	return states, nil
+	fitGroups(&groups, opts, 7000, &m.hTemp, &m.hHum)
 }

@@ -9,22 +9,83 @@ import (
 	"coolair/internal/units"
 )
 
+// numTransitions counts the (From, To) transition slots of a model
+// table: four cooling modes give sixteen.
+const numTransitions = cooling.NumModes * cooling.NumModes
+
 // Model is the learned Cooling Model: per-(transition, pod) temperature
 // regressions, per-transition humidity regressions, a per-mode cooling
-// power model, and the recirculation ranking of pods.
+// power model, and the recirculation ranking of pods. Each transition
+// table holds one slot per (From, To) pair, indexed by slot(); a nil
+// slot has no fitted model.
 type Model struct {
 	pods int
-	temp map[cooling.Transition][]mlearn.Regressor
-	hum  map[cooling.Transition]mlearn.Regressor
+	temp [numTransitions][]mlearn.Regressor
+	hum  [numTransitions]mlearn.Regressor
 	// hTemp/hHum are the direct 10-minute horizon models (see
 	// horizon.go).
-	hTemp map[cooling.Transition][]mlearn.Regressor
-	hHum  map[cooling.Transition]mlearn.Regressor
-	power map[cooling.Mode]mlearn.Regressor
+	hTemp [numTransitions][]mlearn.Regressor
+	hHum  [numTransitions]mlearn.Regressor
+	power [cooling.NumModes]mlearn.Regressor
 	// recircRank lists pod indices from lowest to highest observed
 	// recirculation potential.
 	recircRank []int
 }
+
+// slot returns tr's index in a transition table, From*NumModes+To, so
+// index order is (From, To) order. ok is false when either mode is
+// invalid.
+func slot(tr cooling.Transition) (i int, ok bool) {
+	if !tr.From.Valid() || !tr.To.Valid() {
+		return 0, false
+	}
+	return int(tr.From)*cooling.NumModes + int(tr.To), true
+}
+
+// transition selects the model for the interval in which the plant goes
+// from mode cur to mode next, prev being the mode of the interval
+// before. An interval counts as steady only when the mode has been
+// unchanged since the previous interval too: the first two intervals
+// after a regime change belong to the transition model. Without this,
+// post-transition transients contaminate the steady models and the
+// chained predictor extrapolates them (e.g. "AC-fan mixing keeps
+// cooling forever"). Training labels and every prediction use it.
+func transition(prev, cur, next cooling.Mode) cooling.Transition {
+	if next != cur {
+		return cooling.Transition{From: cur, To: next}
+	}
+	if cur != prev {
+		return cooling.Transition{From: prev, To: next}
+	}
+	return cooling.Transition{From: next, To: next}
+}
+
+// resolve looks tr up in a transition table along the fallback ladder:
+// the exact transition, then the target mode's steady model, then, when
+// anySlot is set, the first filled slot in index order (the smallest
+// (From, To)). filled reports whether a slot holds a model; ok is false
+// when no rung matches.
+func resolve[T any](tab *[numTransitions]T, filled func(T) bool, tr cooling.Transition, anySlot bool) (v T, ok bool) {
+	if i, valid := slot(tr); valid && filled(tab[i]) {
+		return tab[i], true
+	}
+	if i, valid := slot(cooling.Transition{From: tr.To, To: tr.To}); valid && filled(tab[i]) {
+		return tab[i], true
+	}
+	if anySlot {
+		for _, v := range tab {
+			if filled(v) {
+				return v, true
+			}
+		}
+	}
+	return v, false
+}
+
+// hasPods and hasModel are resolve's filled predicates for per-pod and
+// scalar tables.
+func hasPods(rs []mlearn.Regressor) bool { return rs != nil }
+func hasModel(r mlearn.Regressor) bool   { return r != nil }
 
 // LearnerOptions tunes model fitting.
 type LearnerOptions struct {
@@ -42,6 +103,74 @@ func (o LearnerOptions) withDefaults() LearnerOptions {
 	return o
 }
 
+// trainingGroup holds one transition's training rows: per-pod
+// temperature rows and the humidity rows.
+type trainingGroup struct {
+	tempX [][][]float64
+	tempY [][]float64
+	humX  [][]float64
+	humY  []float64
+}
+
+// trainingGroups collects rows per transition slot.
+type trainingGroups [numTransitions]*trainingGroup
+
+// add appends the rows predicting target from (prev, cur) under the
+// applied fan and compressor speeds to tr's group. A transition with an
+// invalid mode has no slot, so its rows are dropped.
+func (gs *trainingGroups) add(tr cooling.Transition, prev, cur, target Snapshot, fan, comp float64) {
+	i, ok := slot(tr)
+	if !ok {
+		return
+	}
+	pods := len(target.PodTemp)
+	g := gs[i]
+	if g == nil {
+		g = &trainingGroup{tempX: make([][][]float64, pods), tempY: make([][]float64, pods)}
+		gs[i] = g
+	}
+	for p := 0; p < pods; p++ {
+		g.tempX[p] = append(g.tempX[p], tempFeatures(prev, cur, fan, comp, p))
+		g.tempY[p] = append(g.tempY[p], float64(target.PodTemp[p]))
+	}
+	g.humX = append(g.humX, humFeatures(cur, fan, comp))
+	g.humY = append(g.humY, target.InsideAbs.GramsPerKg())
+}
+
+// fitGroups fits every group with at least opts.MinRows rows into the
+// temp and hum tables and returns how many got temperature models. The
+// paper tries linear and least-median-square fits and keeps the better;
+// we cross-validate the same pair. Pod p's fit is seeded
+// opts.Seed+seed+p and the humidity fit opts.Seed+seed+101.
+func fitGroups(gs *trainingGroups, opts LearnerOptions, seed int64, temp *[numTransitions][]mlearn.Regressor, hum *[numTransitions]mlearn.Regressor) (fitted int) {
+	cands := []mlearn.Fitter{
+		mlearn.OLSFitter(1e-6),
+		mlearn.LMSFitter(40, opts.Seed),
+	}
+	for i, g := range gs {
+		if g == nil || len(g.humX) < opts.MinRows {
+			continue
+		}
+		perPod := make([]mlearn.Regressor, len(g.tempX))
+		for p := range perPod {
+			reg, _, err := mlearn.SelectBest(cands, g.tempX[p], g.tempY[p], 4, opts.Seed+seed+int64(p))
+			if err != nil {
+				perPod = nil
+				break
+			}
+			perPod[p] = reg
+		}
+		if perPod != nil {
+			temp[i] = perPod
+			fitted++
+		}
+		if hreg, _, err := mlearn.SelectBest(cands, g.humX, g.humY, 4, opts.Seed+seed+101); err == nil {
+			hum[i] = hreg
+		}
+	}
+	return fitted
+}
+
 // Fit learns the Cooling Model from the logged campaign. It requires at
 // least a few hours of data (the paper collected 1.5 months, seeding it
 // with deliberately extreme setpoint changes to cover the regime space).
@@ -51,85 +180,27 @@ func Fit(l *Logger, opts LearnerOptions) (*Model, error) {
 	if len(snaps) < opts.MinRows+2 {
 		return nil, fmt.Errorf("model: only %d snapshots, need at least %d", len(snaps), opts.MinRows+2)
 	}
-	m := &Model{
-		pods:  l.pods,
-		temp:  map[cooling.Transition][]mlearn.Regressor{},
-		hum:   map[cooling.Transition]mlearn.Regressor{},
-		hTemp: map[cooling.Transition][]mlearn.Regressor{},
-		hHum:  map[cooling.Transition]mlearn.Regressor{},
-		power: map[cooling.Mode]mlearn.Regressor{},
-	}
+	m := &Model{pods: l.pods}
 
-	// Group training rows by transition.
-	type group struct {
-		tempX [][][]float64 // per pod
-		tempY [][]float64
-		humX  [][]float64
-		humY  []float64
-	}
-	groups := map[cooling.Transition]*group{}
-	grp := func(tr cooling.Transition) *group {
-		g := groups[tr]
-		if g == nil {
-			g = &group{tempX: make([][][]float64, l.pods), tempY: make([][]float64, l.pods)}
-			groups[tr] = g
-		}
-		return g
-	}
-	powX := map[cooling.Mode][][]float64{}
-	powY := map[cooling.Mode][]float64{}
-
+	var groups trainingGroups
+	var powX [cooling.NumModes][][]float64
+	var powY [cooling.NumModes][]float64
 	for i := 1; i+1 < len(snaps); i++ {
 		prev, cur, next := snaps[i-1], snaps[i], snaps[i+1]
-		tr := labelOf(prev, cur, next)
-		g := grp(tr)
-		for p := 0; p < l.pods; p++ {
-			g.tempX[p] = append(g.tempX[p], tempFeatures(prev, cur, next.FanSpeed, next.CompSpeed, p))
-			g.tempY[p] = append(g.tempY[p], float64(next.PodTemp[p]))
-		}
-		g.humX = append(g.humX, humFeatures(cur, next.FanSpeed, next.CompSpeed))
-		g.humY = append(g.humY, next.InsideAbs.GramsPerKg())
-
-		powX[next.Mode] = append(powX[next.Mode], powerFeatures(next.FanSpeed, next.CompSpeed))
-		powY[next.Mode] = append(powY[next.Mode], float64(next.CoolingPower))
-	}
-
-	// Fit per-transition models where enough data exists. The paper
-	// tries linear and least-median-square fits and keeps the better;
-	// we cross-validate the same pair.
-	cands := []mlearn.Fitter{
-		mlearn.OLSFitter(1e-6),
-		mlearn.LMSFitter(40, opts.Seed),
-	}
-	for tr, g := range groups {
-		if len(g.humX) < opts.MinRows {
-			continue
-		}
-		perPod := make([]mlearn.Regressor, l.pods)
-		ok := true
-		for p := 0; p < l.pods; p++ {
-			reg, _, err := mlearn.SelectBest(cands, g.tempX[p], g.tempY[p], 4, opts.Seed+int64(p))
-			if err != nil {
-				ok = false
-				break
-			}
-			perPod[p] = reg
-		}
-		if ok {
-			m.temp[tr] = perPod
-		}
-		if hreg, _, err := mlearn.SelectBest(cands, g.humX, g.humY, 4, opts.Seed+101); err == nil {
-			m.hum[tr] = hreg
+		groups.add(transition(prev.Mode, cur.Mode, next.Mode), prev, cur, next, next.FanSpeed, next.CompSpeed)
+		if next.Mode.Valid() {
+			powX[next.Mode] = append(powX[next.Mode], powerFeatures(next.FanSpeed, next.CompSpeed))
+			powY[next.Mode] = append(powY[next.Mode], float64(next.CoolingPower))
 		}
 	}
-	if len(m.temp) == 0 {
+	if fitGroups(&groups, opts, 0, &m.temp, &m.hum) == 0 {
 		return nil, fmt.Errorf("model: no transition had %d+ rows", opts.MinRows)
 	}
 
 	// Power model: piecewise-linear in speed (the paper uses M5P for
 	// the cubic fan law).
 	for mode, X := range powX {
-		if len(X) < opts.MinRows/2 {
+		if len(X) == 0 || len(X) < opts.MinRows/2 {
 			continue
 		}
 		tree, err := mlearn.FitModelTree(X, powY[mode], mlearn.TreeOptions{MaxDepth: 3})
@@ -138,7 +209,7 @@ func Fit(l *Logger, opts LearnerOptions) (*Model, error) {
 		}
 	}
 
-	m.fitHorizon(snaps, l.pods, opts)
+	m.fitHorizon(snaps, opts)
 	m.recircRank = rankByRecirc(snaps, l.pods)
 	return m, nil
 }
@@ -204,84 +275,19 @@ func (m *Model) PodsByRecirc() []int {
 	return append([]int(nil), m.recircRank...)
 }
 
-// Transitions returns the transitions for which temperature models were
-// learned (diagnostics).
-func (m *Model) Transitions() []cooling.Transition {
-	out := make([]cooling.Transition, 0, len(m.temp))
-	for tr := range m.temp {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		return out[a].To < out[b].To
-	})
-	return out
-}
-
-// tempModel resolves the temperature regressor for a transition and pod
-// with graceful fallback: exact transition → steady model of the target
-// mode → the lowest-ordered available model. The last resort scans for
-// the smallest (From, To) key rather than taking the first map entry:
-// map iteration order varies call to call, and the batched evaluator's
-// metamorphic suite requires every resolution to be reproducible.
-func (m *Model) tempModel(tr cooling.Transition, p int) mlearn.Regressor {
-	if ms, ok := m.temp[tr]; ok {
-		return ms[p]
-	}
-	if ms, ok := m.temp[cooling.Transition{From: tr.To, To: tr.To}]; ok {
-		return ms[p]
-	}
-	if first, ok := lowestTransition(m.temp); ok {
-		return m.temp[first][p]
-	}
-	return nil
-}
-
-func (m *Model) humModel(tr cooling.Transition) mlearn.Regressor {
-	if h, ok := m.hum[tr]; ok {
-		return h
-	}
-	if h, ok := m.hum[cooling.Transition{From: tr.To, To: tr.To}]; ok {
-		return h
-	}
-	if first, ok := lowestTransition(m.hum); ok {
-		return m.hum[first]
-	}
-	return nil
-}
-
-// lowestTransition returns the smallest (From, To) key of a transition
-// map: the deterministic stand-in for "any available model".
-func lowestTransition[V any](models map[cooling.Transition]V) (cooling.Transition, bool) {
-	var best cooling.Transition
-	found := false
-	//coolair:allow-maporder strict min over the totally ordered (From, To) key: every iteration order yields the same winner
-	for tr := range models {
-		if !found || tr.From < best.From || (tr.From == best.From && tr.To < best.To) {
-			best, found = tr, true
-		}
-	}
-	return best, found
-}
-
-// PredictPower estimates the plant's electrical draw under the given
-// effective command. A malformed feature vector yields 0, the same as
-// an unmodeled mode — the power term then simply drops out of the
-// candidate comparison instead of crashing the optimizer.
-func (m *Model) PredictPower(cmd cooling.Command) units.Watts {
-	return m.PredictPowerBuf(nil, cmd)
-}
-
-// PredictPowerBuf is the allocation-free form of PredictPower: buf is a
-// caller-owned feature scratch (its contents are overwritten; nil
-// allocates). The optimizer evaluates power once per schedule step per
-// candidate, so this keeps the per-period decision free of feature-
-// vector garbage.
+// PredictPowerBuf estimates the plant's electrical draw under the given
+// effective command. buf is a caller-owned feature scratch (its contents
+// are overwritten; nil allocates): the optimizer evaluates power once
+// per schedule step per candidate, so this keeps the per-period decision
+// free of feature-vector garbage. An unmodeled or invalid mode, or a
+// malformed feature vector, yields 0: the power term then simply drops
+// out of the candidate comparison instead of crashing the optimizer.
 func (m *Model) PredictPowerBuf(buf []float64, cmd cooling.Command) units.Watts {
-	reg, ok := m.power[cmd.Mode]
-	if !ok {
+	if !cmd.Mode.Valid() {
+		return 0
+	}
+	reg := m.power[cmd.Mode]
+	if reg == nil {
 		return 0
 	}
 	w, err := mlearn.PredictChecked(reg, powerFeaturesInto(buf[:0], cmd.FanSpeed, cmd.CompressorSpeed))

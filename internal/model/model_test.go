@@ -118,14 +118,10 @@ func TestLoggerRejectsBadSnapshots(t *testing.T) {
 
 func TestFitLearnsSteadyRegimes(t *testing.T) {
 	m, _ := fitCampaign(t, 3, 1)
-	trs := m.Transitions()
-	have := map[cooling.Transition]bool{}
-	for _, tr := range trs {
-		have[tr] = true
-	}
 	for _, mode := range []cooling.Mode{cooling.ModeClosed, cooling.ModeFreeCooling, cooling.ModeACCool} {
-		if !have[cooling.Transition{From: mode, To: mode}] {
-			t.Errorf("no steady model for %v (have %v)", mode, trs)
+		i, _ := slot(cooling.Transition{From: mode, To: mode})
+		if len(m.temp[i]) != m.Pods() {
+			t.Errorf("no steady model for %v (slot %d has %d pods)", mode, i, len(m.temp[i]))
 		}
 	}
 	if m.Pods() != 4 {
@@ -171,17 +167,17 @@ func TestPowerModelMatchesPlant(t *testing.T) {
 	m, _ := fitCampaign(t, 2, 3)
 	fc := cooling.ParasolFreeCooling()
 	for _, s := range []float64{0.15, 0.5, 1.0} {
-		got := float64(m.PredictPower(cooling.Command{Mode: cooling.ModeFreeCooling, FanSpeed: s}))
+		got := float64(m.PredictPowerBuf(nil, cooling.Command{Mode: cooling.ModeFreeCooling, FanSpeed: s}))
 		want := float64(fc.Power(s))
 		if math.Abs(got-want) > 40 {
 			t.Errorf("predicted FC power at %0.0f%% = %0.0f W, true %0.0f", s*100, got, want)
 		}
 	}
-	got := float64(m.PredictPower(cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}))
+	got := float64(m.PredictPowerBuf(nil, cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}))
 	if math.Abs(got-2200) > 100 {
 		t.Errorf("predicted AC power %0.0f, want ~2200", got)
 	}
-	if p := m.PredictPower(cooling.Command{Mode: cooling.ModeClosed}); p > 20 {
+	if p := m.PredictPowerBuf(nil, cooling.Command{Mode: cooling.ModeClosed}); p > 20 {
 		t.Errorf("closed power %v, want ~0", p)
 	}
 }
@@ -243,7 +239,11 @@ func TestPredictHorizonUsesRampDynamics(t *testing.T) {
 	start := StateFromSnapshots(snaps[100], snaps[101])
 
 	smooth := cooling.SmoothPlant()
-	states, err := m.PredictHorizon(start, smooth, cooling.Command{Mode: cooling.ModeFreeCooling, FanSpeed: 1}, 5)
+	sched, err := smooth.PreviewSchedule(cooling.Command{Mode: cooling.ModeFreeCooling, FanSpeed: 1}, ModelStepSeconds, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := m.Predict(start, sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,19 +322,56 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("pod %d prediction differs after reload", p)
 		}
 	}
-	wa, wb := m.PredictWindow(start, sched)
-	_ = wb
-	la, err := loaded.PredictWindow(start, sched)
+	// Full window rollouts, every candidate of the batch suite, must
+	// match bit for bit.
+	arena := batchCandidates(HorizonSteps)
+	skip := make([]bool, len(arena)/HorizonSteps)
+	var sa, sb BatchScratch
+	if err := m.PredictWindowBatch(&sa, start, arena, HorizonSteps, skip); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.PredictWindowBatch(&sb, start, arena, HorizonSteps, skip); err != nil {
+		t.Fatal(err)
+	}
+	for i := range skip {
+		if sa.Failed(i) != sb.Failed(i) {
+			t.Fatalf("candidate %d: failed %v before reload, %v after", i, sa.Failed(i), sb.Failed(i))
+		}
+		if !sa.Failed(i) {
+			requireSameWindow(t, i, sa.Rollout(i), sb.Rollout(i))
+		}
+	}
+	cmd := cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}
+	if pw := loaded.PredictPowerBuf(nil, cmd); pw != m.PredictPowerBuf(nil, cmd) {
+		t.Fatal("power prediction differs after reload")
+	}
+}
+
+// TestModelSaveIsByteStable: Save is a pure function of the model, so
+// repeated saves and a save of the reloaded model write the same bytes
+// (a replica can compare snapshots byte for byte).
+func TestModelSaveIsByteStable(t *testing.T) {
+	m, _ := fitCampaign(t, 2, 21)
+	save := func(m *Model) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(m)
+	for i := 1; i < 5; i++ {
+		if !bytes.Equal(save(m), first) {
+			t.Fatalf("save %d differs from the first", i+1)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wb == nil && err == nil {
-		if wa[0].PodTemp[0] != la[0].PodTemp[0] {
-			t.Fatal("horizon prediction differs after reload")
-		}
-	}
-	if pw := loaded.PredictPower(cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}); pw != m.PredictPower(cooling.Command{Mode: cooling.ModeACCool, CompressorSpeed: 1}) {
-		t.Fatal("power prediction differs after reload")
+	if !bytes.Equal(save(loaded), first) {
+		t.Fatal("Save(Load(Save(m))) differs from Save(m)")
 	}
 }
 

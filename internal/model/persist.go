@@ -15,21 +15,23 @@ import (
 // the fitted model must outlive the training process. Save/Load encode
 // the learned regressors with encoding/gob.
 
-// persistedModel is the serialization schema. Regressors are stored as
-// tagged unions because the fitted type (Linear vs ModelTree) is chosen
-// per group by cross-validation.
+// persistedModel is the serialization schema. It mirrors Model's dense
+// tables, so encoding walks them in index order and Save writes the same
+// bytes for the same model. Regressors are stored as tagged unions
+// because the fitted type (Linear vs ModelTree) is chosen per group by
+// cross-validation; the zero persistedRegressor marks an empty slot.
 type persistedModel struct {
 	Pods       int
-	Temp       map[cooling.Transition][]persistedRegressor
-	Hum        map[cooling.Transition]persistedRegressor
-	HTemp      map[cooling.Transition][]persistedRegressor
-	HHum       map[cooling.Transition]persistedRegressor
-	Power      map[cooling.Mode]persistedRegressor
+	Temp       [numTransitions][]persistedRegressor
+	Hum        [numTransitions]persistedRegressor
+	HTemp      [numTransitions][]persistedRegressor
+	HHum       [numTransitions]persistedRegressor
+	Power      [cooling.NumModes]persistedRegressor
 	RecircRank []int
 }
 
 type persistedRegressor struct {
-	// Kind is "linear" or "tree".
+	// Kind is "linear", "tree", or empty for no regressor.
 	Kind   string
 	Linear *mlearn.Linear
 	Tree   *mlearn.ModelTree
@@ -37,6 +39,8 @@ type persistedRegressor struct {
 
 func toPersisted(r mlearn.Regressor) (persistedRegressor, error) {
 	switch v := r.(type) {
+	case nil:
+		return persistedRegressor{}, nil
 	case *mlearn.Linear:
 		return persistedRegressor{Kind: "linear", Linear: v}, nil
 	case *mlearn.ModelTree:
@@ -48,6 +52,8 @@ func toPersisted(r mlearn.Regressor) (persistedRegressor, error) {
 
 func (p persistedRegressor) restore() (mlearn.Regressor, error) {
 	switch p.Kind {
+	case "":
+		return nil, nil
 	case "linear":
 		if p.Linear == nil {
 			return nil, fmt.Errorf("model: corrupt linear regressor")
@@ -63,46 +69,61 @@ func (p persistedRegressor) restore() (mlearn.Regressor, error) {
 	}
 }
 
+// toPersistedPods converts one per-pod table; an empty slot stays nil.
+func toPersistedPods(rs []mlearn.Regressor) ([]persistedRegressor, error) {
+	if rs == nil {
+		return nil, nil
+	}
+	out := make([]persistedRegressor, len(rs))
+	for i, r := range rs {
+		p, err := toPersisted(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
+// restorePods restores one per-pod table. An empty slot stays nil; a
+// present table must hold exactly one regressor per pod, since the
+// predictors index it by pod.
+func restorePods(ps []persistedRegressor, pods int) ([]mlearn.Regressor, error) {
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	if len(ps) != pods {
+		return nil, fmt.Errorf("model: per-pod table has %d regressors for %d pods", len(ps), pods)
+	}
+	out := make([]mlearn.Regressor, len(ps))
+	for i, p := range ps {
+		r, err := p.restore()
+		if err != nil {
+			return nil, err
+		}
+		if r == nil {
+			return nil, fmt.Errorf("model: per-pod table misses pod %d", i)
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
 // Save writes the fitted model to w.
 func (m *Model) Save(w io.Writer) error {
-	pm := persistedModel{
-		Pods:       m.pods,
-		Temp:       map[cooling.Transition][]persistedRegressor{},
-		Hum:        map[cooling.Transition]persistedRegressor{},
-		HTemp:      map[cooling.Transition][]persistedRegressor{},
-		HHum:       map[cooling.Transition]persistedRegressor{},
-		Power:      map[cooling.Mode]persistedRegressor{},
-		RecircRank: m.recircRank,
-	}
-	convertSlice := func(rs []mlearn.Regressor) ([]persistedRegressor, error) {
-		out := make([]persistedRegressor, len(rs))
-		for i, r := range rs {
-			p, err := toPersisted(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
+	pm := persistedModel{Pods: m.pods, RecircRank: m.recircRank}
 	var err error
-	for tr, rs := range m.temp {
-		if pm.Temp[tr], err = convertSlice(rs); err != nil {
+	for i := range m.temp {
+		if pm.Temp[i], err = toPersistedPods(m.temp[i]); err != nil {
 			return err
 		}
-	}
-	for tr, rs := range m.hTemp {
-		if pm.HTemp[tr], err = convertSlice(rs); err != nil {
+		if pm.HTemp[i], err = toPersistedPods(m.hTemp[i]); err != nil {
 			return err
 		}
-	}
-	for tr, r := range m.hum {
-		if pm.Hum[tr], err = toPersisted(r); err != nil {
+		if pm.Hum[i], err = toPersisted(m.hum[i]); err != nil {
 			return err
 		}
-	}
-	for tr, r := range m.hHum {
-		if pm.HHum[tr], err = toPersisted(r); err != nil {
+		if pm.HHum[i], err = toPersisted(m.hHum[i]); err != nil {
 			return err
 		}
 	}
@@ -123,53 +144,30 @@ func Load(r io.Reader) (*Model, error) {
 	if pm.Pods <= 0 {
 		return nil, fmt.Errorf("model: corrupt model (pods=%d)", pm.Pods)
 	}
-	m := &Model{
-		pods:       pm.Pods,
-		temp:       map[cooling.Transition][]mlearn.Regressor{},
-		hum:        map[cooling.Transition]mlearn.Regressor{},
-		hTemp:      map[cooling.Transition][]mlearn.Regressor{},
-		hHum:       map[cooling.Transition]mlearn.Regressor{},
-		power:      map[cooling.Mode]mlearn.Regressor{},
-		recircRank: pm.RecircRank,
-	}
-	restoreSlice := func(ps []persistedRegressor) ([]mlearn.Regressor, error) {
-		out := make([]mlearn.Regressor, len(ps))
-		for i, p := range ps {
-			r, err := p.restore()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
+	m := &Model{pods: pm.Pods, recircRank: pm.RecircRank}
 	var err error
-	for tr, ps := range pm.Temp {
-		if m.temp[tr], err = restoreSlice(ps); err != nil {
+	fitted := false
+	for i := range pm.Temp {
+		if m.temp[i], err = restorePods(pm.Temp[i], pm.Pods); err != nil {
 			return nil, err
 		}
-	}
-	for tr, ps := range pm.HTemp {
-		if m.hTemp[tr], err = restoreSlice(ps); err != nil {
+		if m.hTemp[i], err = restorePods(pm.HTemp[i], pm.Pods); err != nil {
 			return nil, err
 		}
-	}
-	for tr, p := range pm.Hum {
-		if m.hum[tr], err = p.restore(); err != nil {
+		if m.hum[i], err = pm.Hum[i].restore(); err != nil {
 			return nil, err
 		}
-	}
-	for tr, p := range pm.HHum {
-		if m.hHum[tr], err = p.restore(); err != nil {
+		if m.hHum[i], err = pm.HHum[i].restore(); err != nil {
 			return nil, err
 		}
+		fitted = fitted || m.temp[i] != nil
 	}
 	for mode, p := range pm.Power {
 		if m.power[mode], err = p.restore(); err != nil {
 			return nil, err
 		}
 	}
-	if len(m.temp) == 0 {
+	if !fitted {
 		return nil, fmt.Errorf("model: loaded model has no temperature regressors")
 	}
 	return m, nil

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // handModel builds a model that exercises every persisted shape: linear
 // and tree regressors, both in per-pod slices and scalar slots, across
-// all four group maps plus the power map.
+// all four transition tables plus the power table.
 func handModel() *Model {
 	lin := func(b float64) *mlearn.Linear {
 		return &mlearn.Linear{Intercept: b, Coef: []float64{0.5, -0.25, b / 10}, TrainRMSE: 0.3, N: 100}
@@ -25,33 +26,33 @@ func handModel() *Model {
 			Right:     &mlearn.ModelTree{Model: lin(b + 1)},
 		}
 	}
-	trA := cooling.Transition{From: cooling.ModeClosed, To: cooling.ModeFreeCooling}
-	trB := cooling.Transition{From: cooling.ModeFreeCooling, To: cooling.ModeFreeCooling}
-	return &Model{
-		pods: 2,
-		temp: map[cooling.Transition][]mlearn.Regressor{
-			trA: {lin(1), tree(2)},
-			trB: {tree(3), lin(4)},
-		},
-		hum: map[cooling.Transition]mlearn.Regressor{
-			trA: lin(5),
-			trB: tree(6),
-		},
-		hTemp: map[cooling.Transition][]mlearn.Regressor{
-			trA: {lin(7), lin(8)},
-		},
-		hHum: map[cooling.Transition]mlearn.Regressor{
-			trA: tree(9),
-		},
-		power: map[cooling.Mode]mlearn.Regressor{
-			cooling.ModeFreeCooling: lin(10),
-			cooling.ModeACCool:      tree(11),
-		},
-		recircRank: []int{1, 0},
-	}
+	a, _ := slot(cooling.Transition{From: cooling.ModeClosed, To: cooling.ModeFreeCooling})
+	b, _ := slot(cooling.Transition{From: cooling.ModeFreeCooling, To: cooling.ModeFreeCooling})
+	m := &Model{pods: 2, recircRank: []int{1, 0}}
+	m.temp[a] = []mlearn.Regressor{lin(1), tree(2)}
+	m.temp[b] = []mlearn.Regressor{tree(3), lin(4)}
+	m.hum[a] = lin(5)
+	m.hum[b] = tree(6)
+	m.hTemp[a] = []mlearn.Regressor{lin(7), lin(8)}
+	m.hHum[a] = tree(9)
+	m.power[cooling.ModeFreeCooling] = lin(10)
+	m.power[cooling.ModeACCool] = tree(11)
+	return m
 }
 
-// TestPersistRoundTripAllKinds: every regressor kind in every group map
+// mapSchema is the persisted schema from before the dense tables: the
+// same field names, with map-keyed transition and mode tables.
+type mapSchema struct {
+	Pods       int
+	Temp       map[cooling.Transition][]persistedRegressor
+	Hum        map[cooling.Transition]persistedRegressor
+	HTemp      map[cooling.Transition][]persistedRegressor
+	HHum       map[cooling.Transition]persistedRegressor
+	Power      map[cooling.Mode]persistedRegressor
+	RecircRank []int
+}
+
+// TestPersistRoundTripAllKinds: every regressor kind in every table
 // survives Save/Load exactly (gob is bit-exact on float64s, so this is
 // equality, not tolerance).
 func TestPersistRoundTripAllKinds(t *testing.T) {
@@ -68,19 +69,19 @@ func TestPersistRoundTripAllKinds(t *testing.T) {
 		t.Fatalf("pods/recircRank: got %d/%v", got.pods, got.recircRank)
 	}
 	if !reflect.DeepEqual(got.temp, m.temp) {
-		t.Fatalf("temp map did not round-trip:\n got %+v\nwant %+v", got.temp, m.temp)
+		t.Fatalf("temp table did not round-trip:\n got %+v\nwant %+v", got.temp, m.temp)
 	}
 	if !reflect.DeepEqual(got.hum, m.hum) {
-		t.Fatal("hum map did not round-trip")
+		t.Fatal("hum table did not round-trip")
 	}
 	if !reflect.DeepEqual(got.hTemp, m.hTemp) {
-		t.Fatal("hTemp map did not round-trip")
+		t.Fatal("hTemp table did not round-trip")
 	}
 	if !reflect.DeepEqual(got.hHum, m.hHum) {
-		t.Fatal("hHum map did not round-trip")
+		t.Fatal("hHum table did not round-trip")
 	}
 	if !reflect.DeepEqual(got.power, m.power) {
-		t.Fatal("power map did not round-trip")
+		t.Fatal("power table did not round-trip")
 	}
 }
 
@@ -124,13 +125,55 @@ func TestLoadRejectsDamage(t *testing.T) {
 	})
 	t.Run("no temperature regressors", func(t *testing.T) {
 		m := handModel()
-		m.temp = map[cooling.Transition][]mlearn.Regressor{}
+		m.temp = [numTransitions][]mlearn.Regressor{}
 		var b bytes.Buffer
 		if err := m.Save(&b); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Load(&b); err == nil {
 			t.Fatal("model without temperature regressors loaded")
+		}
+	})
+	// A per-pod table shorter than Pods would make the predictors index
+	// past its end.
+	t.Run("short per-pod table", func(t *testing.T) {
+		for _, table := range []string{"temp", "hTemp"} {
+			m := handModel()
+			a, _ := slot(cooling.Transition{From: cooling.ModeClosed, To: cooling.ModeFreeCooling})
+			if table == "temp" {
+				m.temp[a] = m.temp[a][:1]
+			} else {
+				m.hTemp[a] = m.hTemp[a][:1]
+			}
+			var b bytes.Buffer
+			if err := m.Save(&b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&b); err == nil {
+				t.Fatalf("model with a 1-pod %s table for 2 pods loaded", table)
+			}
+		}
+	})
+	// A snapshot written with map-keyed tables must fail to decode, so
+	// a restore cold-boots instead of misreading it.
+	t.Run("parent schema (map-keyed tables)", func(t *testing.T) {
+		reg := persistedRegressor{Kind: "linear", Linear: &mlearn.Linear{Intercept: 1, Coef: []float64{1}}}
+		tr := cooling.Transition{From: cooling.ModeFreeCooling, To: cooling.ModeFreeCooling}
+		old := mapSchema{
+			Pods:       1,
+			Temp:       map[cooling.Transition][]persistedRegressor{tr: {reg}},
+			Hum:        map[cooling.Transition]persistedRegressor{tr: reg},
+			HTemp:      map[cooling.Transition][]persistedRegressor{tr: {reg}},
+			HHum:       map[cooling.Transition]persistedRegressor{tr: reg},
+			Power:      map[cooling.Mode]persistedRegressor{cooling.ModeFreeCooling: reg},
+			RecircRank: []int{0},
+		}
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(old); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&b); err == nil {
+			t.Fatal("map-keyed snapshot loaded")
 		}
 	})
 }

@@ -57,34 +57,6 @@ func StateFromSnapshotsInto(dst *PredictorState, prev, cur Snapshot) {
 	dst.CompSpeed = cur.CompSpeed
 }
 
-// PredictScratch holds the caller-owned buffers the allocation-free
-// prediction paths (PredictInto, PredictWindowInto) write into: one
-// feature vector, one pod-temperature arena, and one state slice, all
-// grown on demand and reused across calls. A scratch must not be shared
-// between goroutines, and the states returned by an Into call are valid
-// only until the next call with the same scratch. The Model itself stays
-// read-only and may be shared freely; all mutable prediction state lives
-// here (see DESIGN.md, "Scratch buffers and Into APIs").
-type PredictScratch struct {
-	feat   []float64
-	temps  []units.Celsius
-	states []PredictorState
-}
-
-// buffers returns a state slice of length n and a pod-temperature arena
-// of n chunks of pods entries each, reusing the scratch's backing arrays.
-func (sc *PredictScratch) buffers(n, pods int) ([]PredictorState, []units.Celsius) {
-	if cap(sc.states) < n {
-		sc.states = make([]PredictorState, n)
-	}
-	if cap(sc.temps) < n*pods {
-		sc.temps = make([]units.Celsius, n*pods)
-	}
-	sc.states = sc.states[:n]
-	sc.temps = sc.temps[:n*pods]
-	return sc.states, sc.temps
-}
-
 // podChunk returns the i-th pod-temperature chunk of the arena, capped
 // so appends cannot bleed into the next chunk.
 func podChunk(temps []units.Celsius, i, pods int) []units.Celsius {
@@ -113,33 +85,23 @@ func (st PredictorState) RelHumidity() units.RelHumidity {
 // end of each step; otherwise the current outside conditions are held
 // constant (fine for 10-minute horizons).
 func (m *Model) Predict(start PredictorState, schedule []cooling.Command, outside []Snapshot) ([]PredictorState, error) {
-	return m.PredictInto(nil, start, schedule, outside)
-}
-
-// PredictInto is the allocation-free form of Predict: the returned
-// states and their pod-temperature slices are backed by the scratch and
-// remain valid only until the next Into call with the same scratch. A
-// nil scratch falls back to fresh allocations (Predict's semantics).
-func (m *Model) PredictInto(sc *PredictScratch, start PredictorState, schedule []cooling.Command, outside []Snapshot) ([]PredictorState, error) {
 	if len(start.PodTemp) != m.pods {
 		return nil, fmt.Errorf("model: state has %d pods, model has %d", len(start.PodTemp), m.pods)
 	}
 	if outside != nil && len(outside) < len(schedule) {
 		return nil, fmt.Errorf("model: %d outside samples for %d steps", len(outside), len(schedule))
 	}
-	var local PredictScratch
-	if sc == nil {
-		sc = &local
-	}
-	states, temps := sc.buffers(len(schedule), m.pods)
-	if err := m.predictChain(&sc.feat, states, temps, start, schedule, outside); err != nil {
+	states := make([]PredictorState, len(schedule))
+	temps := make([]units.Celsius, len(schedule)*m.pods)
+	var feat []float64
+	if err := m.predictChain(&feat, states, temps, start, schedule, outside); err != nil {
 		return nil, err
 	}
 	return states, nil
 }
 
-// predictChain is the chained-prediction core shared by PredictInto and
-// the batched evaluator's fallback path: it rolls the per-step models
+// predictChain is the chained-prediction core shared by Predict and the
+// batched window predictor's fallback: it rolls the per-step models
 // through schedule, writing the resulting states into states and their
 // pod temperatures into the temps arena (one pod-sized chunk per step).
 // feat is the feature scratch, passed by pointer so growth is kept by
@@ -147,13 +109,10 @@ func (m *Model) PredictInto(sc *PredictScratch, start PredictorState, schedule [
 func (m *Model) predictChain(feat *[]float64, states []PredictorState, temps []units.Celsius, start PredictorState, schedule []cooling.Command, outside []Snapshot) error {
 	cur := start
 	for i, cmd := range schedule {
-		// Model selection mirrors the training labels: the first two
-		// intervals after a mode change use the transition model.
-		tr := cooling.Transition{From: cmd.Mode, To: cmd.Mode}
-		if cmd.Mode != cur.Mode {
-			tr = cooling.Transition{From: cur.Mode, To: cmd.Mode}
-		} else if cur.Mode != cur.PrevMode {
-			tr = cooling.Transition{From: cur.PrevMode, To: cmd.Mode}
+		tr := transition(cur.PrevMode, cur.Mode, cmd.Mode)
+		regs, ok := resolve(&m.temp, hasPods, tr, true)
+		if !ok {
+			return fmt.Errorf("model: no temperature model available")
 		}
 
 		// Synthesize the two pseudo-snapshots the feature builders
@@ -194,18 +153,14 @@ func (m *Model) predictChain(feat *[]float64, states []PredictorState, temps []u
 		}
 
 		for p := 0; p < m.pods; p++ {
-			reg := m.tempModel(tr, p)
-			if reg == nil {
-				return fmt.Errorf("model: no temperature model available")
-			}
 			*feat = tempFeaturesInto((*feat)[:0], prevSnap, curSnap, cmd.FanSpeed, cmd.CompressorSpeed, p)
-			y, err := mlearn.PredictChecked(reg, *feat)
+			y, err := mlearn.PredictChecked(regs[p], *feat)
 			if err != nil {
 				return fmt.Errorf("model: pod %d temperature: %w", p, err)
 			}
 			next.PodTemp[p] = units.Celsius(y)
 		}
-		if h := m.humModel(tr); h != nil {
+		if h, ok := resolve(&m.hum, hasModel, tr, true); ok {
 			*feat = humFeaturesInto((*feat)[:0], curSnap, cmd.FanSpeed, cmd.CompressorSpeed)
 			g, err := mlearn.PredictChecked(h, *feat)
 			if err != nil {
@@ -220,15 +175,4 @@ func (m *Model) predictChain(feat *[]float64, states []PredictorState, temps []u
 		cur = next
 	}
 	return nil
-}
-
-// PredictHorizon is a convenience wrapper: roll the model nSteps ahead
-// under a constant effective-command schedule derived from the plant's
-// ramp dynamics.
-func (m *Model) PredictHorizon(start PredictorState, plant *cooling.Plant, cmd cooling.Command, nSteps int) ([]PredictorState, error) {
-	sched, err := plant.PreviewSchedule(cmd, ModelStepSeconds, nSteps)
-	if err != nil {
-		return nil, err
-	}
-	return m.Predict(start, sched, nil)
 }

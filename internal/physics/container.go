@@ -181,10 +181,6 @@ type Inputs struct {
 	// PodDiskUtil is each pod's average disk utilization (0–1), for
 	// the disk temperature model.
 	PodDiskUtil []float64
-	// Supply, when non-nil, is the conditioned intake-air state (e.g.
-	// after evaporative pre-cooling); the ventilation terms use it
-	// while envelope leakage still sees the raw Outside air.
-	Supply *weather.Conditions
 	// Airflow is the outside-air mass flow from the cooling plant,
 	// kg/s (zero when the damper is closed).
 	Airflow float64
@@ -242,16 +238,11 @@ func (c *Container) Step(s *State, in Inputs, dt float64) error {
 	solar := c.solarGain(in.HourOfDay)
 	rec := recircFraction(in.Airflow)
 
-	supply := in.Outside
-	if in.Supply != nil {
-		supply = *in.Supply
-	}
-
 	// Heat flows into the air node (W).
 	qIT := rec * itPower
 	qSolarAir := 0.3 * solar
 	qMass := c.MassUA * (tm - ta)
-	qVent := in.Airflow * units.AirSpecificHeat * (float64(supply.Temp) - ta)
+	qVent := in.Airflow * units.AirSpecificHeat * (tout - ta)
 	qLeak := c.LeakUA * (tout - ta)
 	qAC := float64(in.HeatRemoval)
 
@@ -267,13 +258,11 @@ func (c *Container) Step(s *State, in Inputs, dt float64) error {
 	s.Air = units.Celsius(ta + dTa)
 	s.Mass = units.Celsius(tm + dTm)
 
-	// Moisture balance on absolute humidity. Ventilation brings in the
-	// (possibly conditioned) supply air; envelope infiltration brings
-	// in raw outside air.
-	wsup := float64(supply.Abs())
+	// Moisture balance on absolute humidity: ventilation and envelope
+	// infiltration both bring in outside air.
 	wout := float64(in.Outside.Abs())
 	w := float64(s.Abs)
-	w += in.Airflow / c.AirKg * (wsup - w) * dt
+	w += in.Airflow / c.AirKg * (wout - w) * dt
 	w += c.LeakKgS / c.AirKg * (wout - w) * dt
 	if qAC > 0 {
 		// The evaporator coil condenses moisture when inside air's dew

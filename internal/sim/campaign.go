@@ -11,22 +11,17 @@ import (
 	"coolair/internal/workload"
 )
 
-// CollectTrainingData reproduces the Cooling Modeler's data-collection
-// campaign (paper §4.2): the datacenter runs under the default TKS
-// controller while the campaign "intentionally generates extreme
-// situations by changing the cooling setup (e.g., temperature setpoint)"
-// — here the setpoint is re-randomized every few hours, regimes are
-// occasionally forced outright, and the active-server count is varied so
-// the learned models see the whole operating envelope. Snapshots are
-// logged every model step (2 minutes).
-func (e *Env) CollectTrainingData(days int, trace *workload.Trace, seed int64) (*model.Logger, error) {
-	return e.CollectTrainingDataContext(context.Background(), days, trace, seed)
-}
-
-// CollectTrainingDataContext is CollectTrainingData with cancellation:
-// the campaign checks ctx between physics steps and returns ctx.Err()
-// promptly, so a daemon interrupted during boot-time training exits on
-// SIGTERM instead of finishing the remaining campaign days.
+// CollectTrainingDataContext reproduces the Cooling Modeler's
+// data-collection campaign (paper §4.2): the datacenter runs under the
+// default TKS controller while the campaign "intentionally generates
+// extreme situations by changing the cooling setup (e.g., temperature
+// setpoint)" — here the setpoint is re-randomized every few hours,
+// regimes are occasionally forced outright, and the active-server count
+// is varied so the learned models see the whole operating envelope.
+// Snapshots are logged every model step (2 minutes). The campaign checks
+// ctx between physics steps and returns ctx.Err() promptly, so a daemon
+// interrupted during boot-time training exits on SIGTERM instead of
+// finishing the remaining campaign days.
 func (e *Env) CollectTrainingDataContext(ctx context.Context, days int, trace *workload.Trace, seed int64) (*model.Logger, error) {
 	rng := rand.New(rand.NewSource(seed))
 	logger := model.NewLogger(len(e.Container.Pods))

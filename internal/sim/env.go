@@ -128,13 +128,6 @@ func (e *Env) Now() float64 { return e.now }
 // State exposes the current physical state (read-only use).
 func (e *Env) State() *physics.State { return e.state }
 
-// JumpTo moves the simulation clock to the start of the given day of
-// year without integrating the gap (the year runs simulate only the
-// first day of each week). The physical state carries over.
-func (e *Env) JumpTo(day int) {
-	e.now = float64(day) * 86400
-}
-
 // stepPhysics advances the plant and the container by one physics step
 // under the given cooling command, returning the effective plant state.
 func (e *Env) stepPhysics(cmd cooling.Command, dt float64) (cooling.Command, error) {
@@ -142,11 +135,10 @@ func (e *Env) stepPhysics(cmd cooling.Command, dt float64) (cooling.Command, err
 	if err != nil {
 		return eff, err
 	}
-	out := e.outside()
 	e.podPowerBuf = e.Cluster.PodPowerInto(e.podPowerBuf)
 	e.podDiskBuf = e.Cluster.PodDiskUtilInto(e.podDiskBuf)
 	in := physics.Inputs{
-		Outside:     out,
+		Outside:     e.outside(),
 		HourOfDay:   hourOfDay(e.now),
 		PodPower:    e.podPowerBuf,
 		PodDiskUtil: e.podDiskBuf,
@@ -154,9 +146,6 @@ func (e *Env) stepPhysics(cmd cooling.Command, dt float64) (cooling.Command, err
 		RecircFlow:  e.Plant.RecirculationAirflow(),
 		HeatRemoval: e.Plant.HeatRemoval(),
 		CoilTemp:    e.Plant.AC.CoilTemp,
-	}
-	if sup, active := e.Plant.Intake(out); active {
-		in.Supply = &sup
 	}
 	if err := e.Container.Step(e.state, in, dt); err != nil {
 		return eff, err

@@ -360,36 +360,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestEvaporativePlantReducesHotDryCooling(t *testing.T) {
-	// The §2 adiabatic option: at a hot-arid site, attaching an
-	// evaporative stage lets free cooling serve hours that otherwise
-	// need the compressor.
-	day := []int{100}
-	tr := workload.Facebook(64, 1)
-
-	plain, err := NewEnv(weather.Chad, RealSim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPlain, err := Run(plain, tks.Baseline(), RunConfig{Days: day, Trace: tr, KeepAllActive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	evap, _ := NewEnv(weather.Chad, RealSim)
-	evap.Plant.Evap = cooling.DefaultEvaporativeCooler()
-	resEvap, err := Run(evap, tks.Baseline(), RunConfig{Days: day, Trace: tr, KeepAllActive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resEvap.Summary.CoolingKWh >= resPlain.Summary.CoolingKWh {
-		t.Errorf("evaporative stage should cut cooling energy at Chad: %0.1f vs %0.1f kWh",
-			resEvap.Summary.CoolingKWh, resPlain.Summary.CoolingKWh)
-	}
-	t.Logf("Chad day cooling: plain %0.1f kWh, evaporative %0.1f kWh",
-		resPlain.Summary.CoolingKWh, resEvap.Summary.CoolingKWh)
-}
-
 // TestNewEnvConcurrent builds environments for a mix of climates from
 // many goroutines at once. Run with -race it proves the shared TMY
 // cache behind NewEnv is safe for parallel campaign grids, and it pins

@@ -168,8 +168,6 @@ const (
 	AirDensity = 1.204
 	// AirSpecificHeat is the specific heat of air, J/(kg·K).
 	AirSpecificHeat = 1005.0
-	// WaterLatentHeat is the latent heat of vaporization of water, J/kg.
-	WaterLatentHeat = 2.45e6
 )
 
 // PUE computes a Power Usage Effectiveness from IT energy, cooling

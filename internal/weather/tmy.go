@@ -29,9 +29,9 @@ type Conditions struct {
 
 	// abs memoizes the humidity ratio when the producer already knows
 	// it (Series.Sample). The RH→absolute conversion costs an exp per
-	// call and the physics, the evaporative cooler, and the controller
-	// each re-derive it from the same sample every tick; the memo lets
-	// one conversion serve them all without changing any value.
+	// call and the physics and the controller each re-derive it from
+	// the same sample every tick; the memo lets one conversion serve
+	// them all without changing any value.
 	//
 	// Anything rewriting Temp or RH after the sample was produced
 	// (fault injection, sensor sanitization) must go through SetTemp /
