@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml), so a green `make check bench-check` locally
 # predicts a green CI run.
 
-BENCH_PATTERN := BenchmarkClusterReplay$$|BenchmarkCoolAirDecision$$|BenchmarkCoolAirDecisionTraced$$|BenchmarkPredictWindow$$|BenchmarkTMYGeneration$$|BenchmarkSeriesAppend$$|BenchmarkSeriesCollectTick$$
+BENCH_PATTERN := BenchmarkClusterReplay$$|BenchmarkClusterTapeReplay$$|BenchmarkCoolAirDecision$$|BenchmarkCoolAirDecisionTraced$$|BenchmarkPredictWindow$$|BenchmarkTMYGeneration$$|BenchmarkSeriesAppend$$|BenchmarkSeriesCollectTick$$
 BENCH_COUNT   := 5
 
 # The world-sweep throughput benchmark runs ~1 s/op, so it gets its own
@@ -70,9 +70,10 @@ loadtest:
 		-duration 20s -p99 250ms -kill
 	rm -f coolair-serve.loadtest
 
-# fuzz exercises the trace JSONL round-trip fuzzer and the cluster
-# aggregate oracle fuzzer beyond their checked-in corpora. CI runs the
-# same 10-second budgets.
+# fuzz exercises the trace JSONL round-trip fuzzer, the cluster
+# aggregate oracle fuzzer and the cluster tape fuzzer beyond their
+# checked-in corpora. CI runs the same 10-second budgets.
 fuzz:
 	go test -run '^FuzzTraceRoundTrip$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace/
 	go test -run '^FuzzClusterAggregates$$' -fuzz '^FuzzClusterAggregates$$' -fuzztime 10s ./internal/hadoop/
+	go test -run '^FuzzClusterTape$$' -fuzz '^FuzzClusterTape$$' -fuzztime 10s ./internal/hadoop/

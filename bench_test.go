@@ -281,7 +281,11 @@ func BenchmarkCoolAirDecisionTraced(b *testing.B) {
 // BenchmarkWorldThroughput is the tentpole number for the world sweep:
 // the Figure 12/13 study (8 sites × 2 systems × benchDays sampled days)
 // reported as simulated site-days per second of wall clock — the metric
-// cmd/coolair-world prints for its full-grid runs.
+// cmd/coolair-world prints for its full-grid runs. The lab keeps one
+// cluster tape per system (sim.TapeStore): the first iteration records
+// each system's cluster at its first site and replays it at the other
+// seven, and later iterations replay it everywhere, as every study after
+// the first does on a long-lived lab.
 func BenchmarkWorldThroughput(b *testing.B) {
 	l := lab(b)
 	const sites = 8
@@ -298,22 +302,42 @@ func BenchmarkWorldThroughput(b *testing.B) {
 	b.ReportMetric(float64(sites*2*benchDays*b.N)/b.Elapsed().Seconds(), "site-days/s")
 }
 
-// BenchmarkClusterReplay isolates the cluster layer of the sweep: one
-// Facebook trace day replayed through a fresh all-active Parasol cluster
-// at the physics step, with the per-step cluster calls sim.Run makes
-// (pod power and disk utilization for the physics, Step, energy
-// accrual). It reports ns/step beside ns/op.
+// BenchmarkClusterReplay isolates the live cluster layer of the sweep:
+// one Facebook trace day replayed through a fresh all-active Parasol
+// cluster at the physics step, with the per-step cluster calls sim.Run
+// makes (pod power and disk utilization for the physics, Step, energy
+// accrual). The cluster has no tape, so every task is simulated. It
+// reports ns/step beside ns/op.
 func BenchmarkClusterReplay(b *testing.B) {
-	tr := workload.Facebook(64, experiments.NewLab().Seed)
-	pods := physics.Parasol().Pods
-	sizes := make([]int, len(pods))
-	for i, p := range pods {
-		sizes[i] = p.Servers
+	tr, sizes := clusterDayTrace(), parasolPods()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := clusterDay(b, tr, sizes, nil)
+		if len(c.Completed()) == 0 {
+			b.Fatal("no job completed")
+		}
 	}
-	const dt = sim.PhysicsStepSeconds
-	const steps = 86400 / dt
-	power := make([]units.Watts, len(sizes))
-	disk := make([]float64, len(sizes))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clusterDaySteps), "ns/step")
+}
+
+// BenchmarkClusterTapeReplay is BenchmarkClusterReplay's day on a cluster
+// that replays a tape of it (recorded once, outside the timer): the cost
+// a taped world-sweep cell pays for its cluster. It reports ns/step.
+func BenchmarkClusterTapeReplay(b *testing.B) {
+	tr, sizes := clusterDayTrace(), parasolPods()
+	rec, err := hadoop.NewCluster(sizes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rec.Record(); err != nil {
+		b.Fatal(err)
+	}
+	clusterDay(b, tr, sizes, rec)
+	tape, err := rec.EndTape()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -321,22 +345,59 @@ func BenchmarkClusterReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.ActivateAll()
-		next := 0
-		for s := 0; s < steps; s++ {
-			for now := float64(s) * dt; next < len(tr.Jobs) && tr.Jobs[next].Arrival <= now; next++ {
-				c.Submit(tr.Jobs[next])
-			}
-			power = c.PodPowerInto(power)
-			disk = c.PodDiskUtilInto(disk)
-			c.Step(dt)
-			c.AccrueEnergy(dt)
+		if err := c.Replay(tape); err != nil {
+			b.Fatal(err)
 		}
-		if len(c.Completed()) == 0 {
-			b.Fatal("no job completed")
+		clusterDay(b, tr, sizes, c)
+		if _, err := c.EndTape(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clusterDaySteps), "ns/step")
+	b.ReportMetric(float64(tape.Bytes()), "tape-bytes")
+}
+
+// clusterDaySteps is one day of physics steps.
+const clusterDaySteps = 86400 / sim.PhysicsStepSeconds
+
+// parasolPods returns the Parasol container's pod sizes.
+func parasolPods() []int {
+	pods := physics.Parasol().Pods
+	sizes := make([]int, len(pods))
+	for i, p := range pods {
+		sizes[i] = p.Servers
+	}
+	return sizes
+}
+
+// clusterDayTrace is the trace the cluster benchmarks replay.
+func clusterDayTrace() *workload.Trace { return workload.Facebook(64, experiments.NewLab().Seed) }
+
+// clusterDay drives one trace day through c (a fresh all-active cluster
+// of the given pod sizes when c is nil) with the per-step calls sim.Run
+// makes, and returns the cluster.
+func clusterDay(b *testing.B, tr *workload.Trace, sizes []int, c *hadoop.Cluster) *hadoop.Cluster {
+	if c == nil {
+		var err error
+		if c, err = hadoop.NewCluster(sizes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const dt = sim.PhysicsStepSeconds
+	var power [8]units.Watts
+	var disk [8]float64
+	c.ActivateAll()
+	next := 0
+	for s := 0; s < clusterDaySteps; s++ {
+		for now := float64(s) * dt; next < len(tr.Jobs) && tr.Jobs[next].Arrival <= now; next++ {
+			c.Submit(tr.Jobs[next])
+		}
+		c.PodPowerInto(power[:0])
+		c.PodDiskUtilInto(disk[:0])
+		c.Step(dt)
+		c.AccrueEnergy(dt)
+	}
+	return c
 }
 
 // BenchmarkPredictWindow isolates one horizon prediction — the unit of

@@ -112,3 +112,15 @@ type WorkerConfigurable interface {
 type TemporalScheduler interface {
 	ScheduleDay(day int, jobs []workload.Job) []float64
 }
+
+// ServerPolicy is implemented by controllers that can name everything
+// they do to the compute cluster. Two runs whose controllers return the
+// same fingerprint, on the same trace and days, drive a fresh cluster
+// through the same trajectory at any climate, so the simulator may
+// simulate the cluster once and replay it (sim.TapeStore). A controller
+// returns false when its effect on the cluster also depends on
+// something else, such as a temporal scheduler whose release times read
+// the weather forecast.
+type ServerPolicy interface {
+	ServerPolicy() (fingerprint string, ok bool)
+}

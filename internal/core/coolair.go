@@ -180,6 +180,21 @@ func (c *CoolAir) Name() string { return c.opts.Name }
 // Period implements control.Controller.
 func (c *CoolAir) Period() float64 { return c.opts.PeriodSeconds }
 
+// ServerPolicy implements control.ServerPolicy. A version with a
+// temporal scheduler declares none: its job release times follow the
+// forecast. Otherwise the cluster sees the placement order New
+// installed (the cluster keys it itself) and, with ManageServers, one
+// manageServers call per period, which reads only SlotDemand.
+func (c *CoolAir) ServerPolicy() (string, bool) {
+	switch {
+	case c.opts.Temporal != TemporalNone:
+		return "", false
+	case c.cluster == nil || !c.opts.ManageServers:
+		return "none", true
+	}
+	return fmt.Sprintf("coolair.manageServers period=%g", c.opts.PeriodSeconds), true
+}
+
 // Band returns the currently selected temperature band.
 func (c *CoolAir) Band() Band { return c.band }
 

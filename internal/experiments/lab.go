@@ -29,8 +29,9 @@ import (
 
 // Lab holds the shared, reusable state of the evaluation: the trained
 // Cooling Models (one per infrastructure fidelity — the paper trains on
-// Parasol monitoring data once and reuses the models everywhere) and the
-// workload traces.
+// Parasol monitoring data once and reuses the models everywhere), the
+// workload traces, and the cluster tapes that let every site of a study
+// replay one simulation of each system's cluster (sim.TapeStore).
 type Lab struct {
 	Seed int64
 	// TrainDays is the length of the data-collection campaign.
@@ -59,6 +60,8 @@ type Lab struct {
 	models map[sim.Fidelity]*modelSlot
 	faceb  *workload.Trace
 	nutch  *workload.Trace
+	// tapes is attached to every run's Env by NewRunContext.
+	tapes *sim.TapeStore
 }
 
 // modelSlot holds one fidelity's trained model; once ensures a single
@@ -87,7 +90,7 @@ type ModelResult struct {
 
 // NewLab creates a lab with the evaluation defaults.
 func NewLab() *Lab {
-	return &Lab{Seed: 42, TrainDays: 4, models: map[sim.Fidelity]*modelSlot{}}
+	return &Lab{Seed: 42, TrainDays: 4, models: map[sim.Fidelity]*modelSlot{}, tapes: sim.NewTapeStore()}
 }
 
 // Facebook returns the (cached) Facebook workload trace.
@@ -317,12 +320,15 @@ func (l *Lab) NewRun(cl weather.Climate, sys System) (*sim.Env, control.Controll
 
 // NewRunContext is NewRun with cancellation of the boot-time training
 // campaign (the daemon's SIGTERM handling reaches into the campaign's
-// physics loop through this context).
+// physics loop through this context). The returned Env carries the
+// lab's cluster tapes, so sim.Run records or replays its cluster when
+// the run allows it.
 func (l *Lab) NewRunContext(ctx context.Context, cl weather.Climate, sys System) (*sim.Env, control.Controller, error) {
 	env, err := sim.NewEnv(cl, sys.Fidelity)
 	if err != nil {
 		return nil, nil, err
 	}
+	env.Tapes = l.tapes
 	if sys.ForecastBias != 0 {
 		env.SetForecast(weather.BiasedForecast{
 			Base: weather.PerfectForecast{Series: env.Series},

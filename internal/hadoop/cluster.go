@@ -12,6 +12,7 @@ package hadoop
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"coolair/internal/units"
@@ -157,6 +158,12 @@ type Cluster struct {
 	now     float64
 	itotal  units.Joules
 	elapsed float64
+	// maxCycles is the largest per-server power-cycle count.
+	maxCycles int
+
+	// tape is the tape the cluster records or replays (tape.go); nil for
+	// a plain live cluster.
+	tape *tapeHead
 }
 
 // JobRecord is the completion record of a finished job.
@@ -238,6 +245,9 @@ func (c *Cluster) setState(s *Server, st PowerState) {
 	case Sleep:
 		p.awake--
 		s.powerCycles++
+		if s.powerCycles > c.maxCycles {
+			c.maxCycles = s.powerCycles
+		}
 	}
 	s.State = st
 }
@@ -259,6 +269,16 @@ func (c *Cluster) SetPlacementOrder(podOrder []int) error {
 		}
 		seen[p] = true
 	}
+	if c.tape != nil {
+		words := make([]uint64, 1, 1+len(podOrder))
+		words[0] = callSetPlacementOrder
+		for _, p := range podOrder {
+			words = append(words, uint64(p))
+		}
+		if c.tape.enter(c, words...) {
+			return nil
+		}
+	}
 	c.placement = append([]int(nil), podOrder...)
 	c.order = nil
 	return nil
@@ -266,6 +286,12 @@ func (c *Cluster) SetPlacementOrder(podOrder []int) error {
 
 // Submit enqueues a job for execution (dispatch happens in Step).
 func (c *Cluster) Submit(j workload.Job) {
+	if c.tape != nil {
+		words := jobWords(j)
+		if c.tape.enter(c, words[:]...) {
+			return
+		}
+	}
 	var r *runningJob
 	if n := len(c.freeJobs); n > 0 {
 		r = c.freeJobs[n-1]
@@ -313,7 +339,20 @@ func (c *Cluster) serverOrder() []*Server {
 func (c *Cluster) Step(dt float64) {
 	c.now += dt
 	c.elapsed += dt
+	if c.tape == nil {
+		c.advance(dt)
+		return
+	}
+	if c.tape.enter(c, callStep, math.Float64bits(dt)) {
+		return
+	}
+	c.advance(dt)
+	c.tape.leave(c)
+}
 
+// advance is Step's live work: it runs the cluster's tasks for dt
+// seconds.
+func (c *Cluster) advance(dt float64) {
 	// 1. Advance running tasks in place. An idle cluster (overnight gaps
 	// in the traces) skips the server walk outright.
 	finished := false

@@ -288,20 +288,24 @@ func (o *oracle) check(after string) {
 	}
 }
 
-// run decodes a byte script into cluster operations and checks every
-// one of them. The first byte picks the pod count and the next ones the
-// pod sizes; each later byte is an operation, some taking one or two
-// argument bytes:
+// scriptOp is one decoded script operation.
+type scriptOp struct {
+	kind  byte // 's'tep, 'j'ob, 't'arget, 'a'ctivate all, 'p'lacement
+	job   workload.Job
+	want  int
+	order []int
+}
+
+// scriptOps decodes a byte script into cluster operations for a cluster
+// of the given pod and server counts. Each byte is an operation, some
+// taking one or two argument bytes:
 //
 //	op%16 in 0..7   Step(30)
 //	op%16 in 8..11  Submit a SWIM-like job (two argument bytes)
 //	op%16 in 12..13 SetActiveTarget (one argument byte)
 //	op%16 == 14     ActivateAll
 //	op%16 == 15     SetPlacementOrder (one argument byte)
-//
-// A finished script is drained: every server wakes and the cluster steps
-// until every job has completed.
-func (o *oracle) run(script []byte) {
+func scriptOps(pods, servers int, script []byte) []scriptOp {
 	next := func() byte {
 		if len(script) == 0 {
 			return 0
@@ -310,18 +314,41 @@ func (o *oracle) run(script []byte) {
 		script = script[1:]
 		return b
 	}
+	var ops []scriptOp
 	for len(script) > 0 {
 		switch op := next() % 16; {
 		case op < 8:
-			o.step(30)
+			ops = append(ops, scriptOp{kind: 's'})
 		case op < 12:
-			o.submit(scriptJob(next(), next()))
+			ops = append(ops, scriptOp{kind: 'j', job: scriptJob(next(), next())})
 		case op < 14:
-			o.setActiveTarget(int(next()) % (len(o.c.Servers) + 1))
+			ops = append(ops, scriptOp{kind: 't', want: int(next()) % (servers + 1)})
 		case op == 14:
+			ops = append(ops, scriptOp{kind: 'a'})
+		default:
+			ops = append(ops, scriptOp{kind: 'p', order: scriptOrder(pods, next())})
+		}
+	}
+	return ops
+}
+
+// run runs a byte script (see scriptOps; the pod layout is already
+// decoded) through the oracle, checking every operation. A finished
+// script is drained: every server wakes and the cluster steps until
+// every job has completed.
+func (o *oracle) run(script []byte) {
+	for _, op := range scriptOps(o.c.Pods(), len(o.c.Servers), script) {
+		switch op.kind {
+		case 's':
+			o.step(30)
+		case 'j':
+			o.submit(op.job)
+		case 't':
+			o.setActiveTarget(op.want)
+		case 'a':
 			o.activateAll()
 		default:
-			o.setPlacementOrder(scriptOrder(o.c.Pods(), next()))
+			o.setPlacementOrder(op.order)
 		}
 	}
 	o.drain(30, 1_000_000)

@@ -23,6 +23,12 @@ func (c *Cluster) SetActiveTarget(want int) error {
 	if want < 0 || want > len(c.Servers) {
 		return fmt.Errorf("hadoop: active target %d out of range", want)
 	}
+	if c.tape != nil {
+		if c.tape.enter(c, callSetActiveTarget, uint64(want)) {
+			return nil
+		}
+		defer c.tape.leave(c)
+	}
 	covering := c.CoveringSubsetSize()
 	if want < covering {
 		want = covering
@@ -65,6 +71,12 @@ func (c *Cluster) SetActiveTarget(want int) error {
 // ActivateAll forces every server active (the baseline system does no
 // energy management of servers).
 func (c *Cluster) ActivateAll() {
+	if c.tape != nil {
+		if c.tape.enter(c, callActivateAll) {
+			return
+		}
+		defer c.tape.leave(c)
+	}
 	for _, s := range c.Servers {
 		c.setState(s, Active)
 	}
@@ -100,7 +112,12 @@ func (c *Cluster) QueuedTasks() int {
 
 // SlotDemand is the total current demand in slots (busy + queued), the
 // quantity CoolAir's Compute Optimizer sizes the active set from.
-func (c *Cluster) SlotDemand() int { return c.BusySlots() + c.QueuedTasks() }
+func (c *Cluster) SlotDemand() int {
+	if c.tape != nil {
+		return c.tape.slotDemand(c)
+	}
+	return c.BusySlots() + c.QueuedTasks()
+}
 
 // Server power draw: idle and busy bound an awake server's draw (paper:
 // 22–30 W), each occupied slot adding slotPower; a sleeping server
@@ -212,7 +229,7 @@ func (c *Cluster) Completed() []JobRecord { return c.completed }
 // records, letting a run size the log once up front instead of growing
 // it through repeated append doubling.
 func (c *Cluster) ReserveCompleted(n int) {
-	if n <= 0 || cap(c.completed)-len(c.completed) >= n {
+	if n <= 0 || c.tape != nil && c.tape.replay || cap(c.completed)-len(c.completed) >= n {
 		return
 	}
 	grown := make([]JobRecord, len(c.completed), len(c.completed)+n)
@@ -233,13 +250,7 @@ func (c *Cluster) MaxPowerCycleRate() float64 {
 	if c.elapsed <= 0 {
 		return 0
 	}
-	max := 0
-	for _, s := range c.Servers {
-		if s.powerCycles > max {
-			max = s.powerCycles
-		}
-	}
-	return float64(max) / (c.elapsed / 3600)
+	return float64(c.maxCycles) / (c.elapsed / 3600)
 }
 
 // Now returns the cluster's internal clock (seconds advanced via Step).

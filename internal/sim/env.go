@@ -52,6 +52,9 @@ type Env struct {
 	Cluster   *hadoop.Cluster
 	// Model is populated by Train (or assigned from a shared fit).
 	Model *model.Model
+	// Tapes, when non-nil, lets Run simulate the cluster once per set of
+	// inputs and replay it in later runs (see TapeStore).
+	Tapes *TapeStore
 
 	state *physics.State
 	now   float64 // absolute seconds since Jan 1 00:00
@@ -151,6 +154,9 @@ func (e *Env) stepPhysics(cmd cooling.Command, dt float64) (cooling.Command, err
 		return eff, err
 	}
 	e.Cluster.Step(dt)
+	if err := e.Cluster.TapeErr(); err != nil {
+		return eff, err
+	}
 	e.Cluster.AccrueEnergy(dt)
 	e.now += dt
 	return eff, nil

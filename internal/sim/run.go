@@ -146,7 +146,15 @@ type Result struct {
 	// motivation surveys.
 	DiskProfile     reliability.Profile
 	DiskReliability reliability.Assessment
+
+	// cluster is how the run drove its cluster. It is unexported so that
+	// encodings of a Result, like Digest, do not depend on it.
+	cluster ClusterPath
 }
+
+// ClusterPath reports whether the run's cluster ran live, recorded a
+// tape or replayed one (see TapeStore).
+func (r *Result) ClusterPath() ClusterPath { return r.cluster }
 
 // Run drives the environment under the controller for the configured
 // days, collecting metrics. The environment's physical state carries
@@ -175,6 +183,12 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 	loop.monitor, _ = ctrl.(control.Monitor)
 	planner, _ := ctrl.(control.DayPlanner)
 	scheduler, _ := ctrl.(control.TemporalScheduler)
+
+	tape := env.Tapes.open(env, ctrl, cfg)
+	if tape != nil {
+		defer tape.close()
+	}
+	res.cluster = tape.path()
 
 	if cfg.Recorder != nil {
 		if t, ok := ctrl.(trace.Traceable); ok {
@@ -394,9 +408,15 @@ func Run(env *Env, ctrl control.Controller, cfg RunConfig) (*Result, error) {
 	if cfg.Logger != nil {
 		cfg.Logger.Info("run complete", "days", len(cfg.Days), "controller", ctrl.Name())
 	}
+	res.JobsCompleted = countMetered(env.Cluster.Completed()) - completedBefore
+	if tape != nil {
+		var err error
+		if res.JobsCompleted, err = tape.finish(env.Cluster, res.JobsCompleted); err != nil {
+			return nil, err
+		}
+	}
 	res.Summary = collector.Summarize()
 	res.DailyWorstRanges = collector.WorstDailyRanges()
-	res.JobsCompleted = countMetered(env.Cluster.Completed()) - completedBefore
 	res.MaxPowerCycleRate = env.Cluster.MaxPowerCycleRate()
 	diskSum := diskCollector.Summarize()
 	if len(diskSamples) > 0 {

@@ -138,6 +138,10 @@ func (c *Controller) Name() string { return c.cfg.Label }
 // Period implements control.Controller.
 func (c *Controller) Period() float64 { return c.cfg.PeriodSeconds }
 
+// ServerPolicy implements control.ServerPolicy: TKS manages only the
+// cooling plant and never calls into the cluster.
+func (c *Controller) ServerPolicy() (string, bool) { return "none", true }
+
 // Decide implements control.Controller.
 func (c *Controller) Decide(obs control.Observation) (cooling.Command, error) {
 	sp := c.cfg.Setpoint

@@ -248,6 +248,18 @@ func TestWorldGridDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorldGridReturnsCopies pins that the once-built grid is never
+// handed out itself: a caller editing its slice leaves later calls
+// untouched.
+func TestWorldGridReturnsCopies(t *testing.T) {
+	a := WorldGrid()
+	want := a[0]
+	a[0].Name, a[0].AnnualMean = "edited", 99
+	if got := WorldGrid()[0]; got != want {
+		t.Fatalf("editing one WorldGrid result changed the next: %+v, want %+v", got, want)
+	}
+}
+
 func TestWorldGridLatitudeTemperatureGradient(t *testing.T) {
 	var eq, polar []float64
 	for _, c := range WorldGrid() {

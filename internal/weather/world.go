@@ -3,6 +3,7 @@ package weather
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"coolair/internal/units"
 )
@@ -47,9 +48,15 @@ var landBoxes = []landBox{
 // matching the paper's 1520.
 const WorldSiteCount = 1520
 
-// WorldGrid deterministically generates the climates of WorldSiteCount
-// world-wide sites scattered over the land boxes.
+// WorldGrid returns the climates of WorldSiteCount world-wide sites
+// scattered over the land boxes. The grid is built once per process;
+// each call returns a fresh copy the caller may modify.
 func WorldGrid() []Climate {
+	return append([]Climate(nil), worldGrid()...)
+}
+
+// worldGrid deterministically generates the world grid, once.
+var worldGrid = sync.OnceValue(func() []Climate {
 	// Scatter candidate points on a grid inside each box, area-weighted.
 	var candidates []Climate
 	const step = 2.4 // degrees of latitude between grid rows
@@ -73,7 +80,7 @@ func WorldGrid() []Climate {
 		out = append(out, candidates[idx])
 	}
 	return out
-}
+})
 
 // climateFor derives plausible climate-normal parameters from latitude
 // and a continentality index, with small deterministic per-site jitter
