@@ -302,6 +302,42 @@ func BenchmarkWorldThroughput(b *testing.B) {
 	b.ReportMetric(float64(sites*2*benchDays*b.N)/b.Elapsed().Seconds(), "site-days/s")
 }
 
+// BenchmarkColdTraining is the cold-boot row of the ledger: a fresh
+// NewLab running both fidelities' training campaigns and fits, which is
+// what perfbench's setup_s and the daemon's cold boot-to-ready pay.
+func BenchmarkColdTraining(b *testing.B) {
+	warmGoroutineCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := experiments.NewLab()
+		for _, fid := range []coolair.Fidelity{coolair.RealSim, coolair.SmoothSim} {
+			if _, err := l.Model(fid); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// warmGoroutineCache starts and ends a few hundred goroutines. Training
+// starts worker goroutines, and the runtime allocates a goroutine only
+// when its per-processor free lists are empty, which depends on
+// scheduling; with the lists stocked, allocs/op counts the training's
+// own allocations and is the same on every run.
+func warmGoroutineCache() {
+	var done, release sync.WaitGroup
+	release.Add(1)
+	for i := 0; i < 256; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			release.Wait()
+		}()
+	}
+	release.Done()
+	done.Wait()
+}
+
 // BenchmarkClusterReplay isolates the live cluster layer of the sweep:
 // one Facebook trace day replayed through a fresh all-active Parasol
 // cluster at the physics step, with the per-step cluster calls sim.Run

@@ -202,34 +202,44 @@ func (l *Lab) obtain(ctx context.Context, fid sim.Fidelity, trace *workload.Trac
 	return ModelResult{Model: m, RestoreErr: restoreErr}, nil
 }
 
-// train runs the data-collection campaign and fits the model. It holds
+// train runs the data-collection campaigns and fits the model. It holds
 // no lab lock: concurrent callers are serialized per fidelity by the
 // slot's once, and everything it touches is local to the call.
 func (l *Lab) train(ctx context.Context, fid sim.Fidelity, trace *workload.Trace) (*model.Model, error) {
 	// The campaign covers both the prototype's home climate and a hot
 	// one, so the learned models interpolate rather than extrapolate
 	// when CoolAir is deployed at hot sites (the paper's 1.5 months of
-	// NJ data spanned spring-to-summer extremes similarly).
-	envN, err := sim.NewEnv(weather.Newark, fid)
-	if err != nil {
-		return nil, err
-	}
-	logN, err := envN.CollectTrainingDataContext(ctx, l.TrainDays, trace, l.Seed)
-	if err != nil {
-		return nil, err
-	}
-	envC, err := sim.NewEnv(weather.Chad, fid)
-	if err != nil {
-		return nil, err
-	}
-	logC, err := envC.CollectTrainingDataContext(ctx, (l.TrainDays+1)/2, trace, l.Seed+1)
-	if err != nil {
+	// NJ data spanned spring-to-summer extremes similarly). The two
+	// campaigns are independent simulations, so they run concurrently.
+	var logN, logC *model.Logger
+	var errN, errC error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		logN, errN = campaign(ctx, weather.Newark, fid, l.TrainDays, trace, l.Seed)
+	}()
+	go func() {
+		defer wg.Done()
+		logC, errC = campaign(ctx, weather.Chad, fid, (l.TrainDays+1)/2, trace, l.Seed+1)
+	}()
+	wg.Wait()
+	if err := errors.Join(errN, errC); err != nil {
 		return nil, err
 	}
 	if err := logN.Append(logC); err != nil {
 		return nil, err
 	}
 	return model.Fit(logN, model.LearnerOptions{Seed: l.Seed})
+}
+
+// campaign runs one data-collection campaign of the given days at cl.
+func campaign(ctx context.Context, cl weather.Climate, fid sim.Fidelity, days int, trace *workload.Trace, seed int64) (*model.Logger, error) {
+	env, err := sim.NewEnv(cl, fid)
+	if err != nil {
+		return nil, err
+	}
+	return env.CollectTrainingDataContext(ctx, days, trace, seed)
 }
 
 // System specifies one managed datacenter configuration to evaluate.

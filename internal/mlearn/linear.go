@@ -57,6 +57,31 @@ func (l *Linear) PredictChecked(x []float64) (float64, error) {
 // ridge term lambda may be zero; if the normal equations remain singular
 // the fit retries with escalating regularization before giving up.
 func FitOLS(X [][]float64, y []float64, lambda float64) (*Linear, error) {
+	return fitOLS(X, y, lambda, nil)
+}
+
+// olsScratch holds fitOLS's normal-equation and solve buffers for
+// designs of d = features+1 columns, so a caller that fits many designs
+// of one width (FitLMS's trials) allocates them once.
+type olsScratch struct {
+	ata, sys    [][]float64 // d×d rows over one backing array each
+	aty, rhs, w []float64
+}
+
+func newOLSScratch(d int) *olsScratch {
+	s := &olsScratch{ata: make([][]float64, d), sys: make([][]float64, d)}
+	flat := make([]float64, 2*d*d+3*d)
+	for i := 0; i < d; i++ {
+		s.ata[i], flat = flat[:d:d], flat[d:]
+		s.sys[i], flat = flat[:d:d], flat[d:]
+	}
+	s.aty, s.rhs, s.w = flat[:d:d], flat[d:2*d:2*d], flat[2*d:]
+	return s
+}
+
+// fitOLS is FitOLS on the buffers of s; nil, or a scratch of another
+// width, allocates fresh ones. The returned model owns its Coef.
+func fitOLS(X [][]float64, y []float64, lambda float64, s *olsScratch) (*Linear, error) {
 	n := len(X)
 	if n == 0 || n != len(y) {
 		return nil, ErrDegenerate
@@ -73,11 +98,14 @@ func FitOLS(X [][]float64, y []float64, lambda float64) (*Linear, error) {
 
 	// Build augmented design [1 | X] and the normal equations AᵀA w = Aᵀy.
 	d := p + 1
-	ata := make([][]float64, d)
-	for i := range ata {
-		ata[i] = make([]float64, d)
+	if s == nil || len(s.w) != d {
+		s = newOLSScratch(d)
 	}
-	aty := make([]float64, d)
+	ata, aty := s.ata, s.aty
+	for i := range ata {
+		clear(ata[i])
+	}
+	clear(aty)
 	for r := 0; r < n; r++ {
 		row := X[r]
 		// feature 0 is the implicit intercept column of ones.
@@ -94,21 +122,19 @@ func FitOLS(X [][]float64, y []float64, lambda float64) (*Linear, error) {
 	}
 
 	for _, lam := range []float64{lambda, math.Max(lambda, 1e-8), 1e-4, 1e-2} {
-		sys := make([][]float64, d)
-		rhs := make([]float64, d)
+		sys, rhs := s.sys, s.rhs
 		for i := range sys {
-			sys[i] = make([]float64, d)
 			copy(sys[i], ata[i])
 			rhs[i] = aty[i]
 			if i > 0 { // do not penalize the intercept
 				sys[i][i] += lam * float64(n)
 			}
 		}
-		w, err := solveGauss(sys, rhs)
-		if err != nil {
+		w := s.w
+		if err := solveGauss(sys, rhs, w); err != nil {
 			continue
 		}
-		m := &Linear{Intercept: w[0], Coef: w[1:], N: n}
+		m := &Linear{Intercept: w[0], Coef: append([]float64(nil), w[1:]...), N: n}
 		m.TrainRMSE = rmse(m, X, y)
 		if !math.IsNaN(m.TrainRMSE) && !math.IsInf(m.TrainRMSE, 0) {
 			return m, nil
@@ -117,8 +143,9 @@ func FitOLS(X [][]float64, y []float64, lambda float64) (*Linear, error) {
 	return nil, ErrDegenerate
 }
 
-// solveGauss solves a dense linear system with partial pivoting.
-func solveGauss(a [][]float64, b []float64) ([]float64, error) {
+// solveGauss solves a dense linear system with partial pivoting into x
+// (len(b)), overwriting a and b. It swaps a's row slices in place.
+func solveGauss(a [][]float64, b, x []float64) error {
 	n := len(a)
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -129,7 +156,7 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(a[piv][col]) < 1e-12 {
-			return nil, ErrDegenerate
+			return ErrDegenerate
 		}
 		a[col], a[piv] = a[piv], a[col]
 		b[col], b[piv] = b[piv], b[col]
@@ -146,7 +173,6 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 		}
 	}
 	// Back-substitute.
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
@@ -154,7 +180,7 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 		}
 		x[r] = sum / a[r][r]
 	}
-	return x, nil
+	return nil
 }
 
 func rmse(m *Linear, X [][]float64, y []float64) float64 {

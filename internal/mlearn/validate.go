@@ -39,7 +39,8 @@ func PredictChecked(r Regressor, x []float64) (y float64, err error) {
 // Fitter builds a Regressor from training data. It lets model selection
 // (below) treat OLS, LMS, and model trees uniformly, mirroring the
 // paper's "try linear and least median square approaches and pick the
-// one with the lowest error".
+// one with the lowest error". A Fitter must not retain X or y: cross
+// validation reuses them for the next fold.
 type Fitter func(X [][]float64, y []float64) (Regressor, error)
 
 // OLSFitter adapts FitOLS to the Fitter signature.
@@ -66,9 +67,11 @@ func CrossValRMSE(f Fitter, X [][]float64, y []float64, k int, seed int64) float
 	idx := rand.New(rand.NewSource(seed)).Perm(n)
 	var sum float64
 	var count int
+	// Every fold's rows fit in n, so the fold slices are allocated once.
+	trX, teX := make([][]float64, 0, n), make([][]float64, 0, n)
+	trY, teY := make([]float64, 0, n), make([]float64, 0, n)
 	for fold := 0; fold < k; fold++ {
-		var trX, teX [][]float64
-		var trY, teY []float64
+		trX, teX, trY, teY = trX[:0], teX[:0], trY[:0], teY[:0]
 		for pos, i := range idx {
 			if pos%k == fold {
 				teX = append(teX, X[i])

@@ -13,11 +13,12 @@ package model
 // HorizonSteps is the number of model steps per optimizer period.
 const HorizonSteps = 5
 
-// fitHorizon learns the direct 10-minute models from the same snapshot
-// log. A training window is usable when the regime is constant across
-// it (the optimizer holds one command per period, so this is exactly
-// the deployment distribution).
-func (m *Model) fitHorizon(snaps []Snapshot, opts LearnerOptions) {
+// horizonGroups collects the training rows of the direct 10-minute
+// models from the snapshot log. A training window is usable when the
+// regime is constant across it (the optimizer holds one command per
+// period, so this is exactly the deployment distribution). Fit fits
+// them into hTemp and hHum with seed offset 7000.
+func horizonGroups(snaps []Snapshot) *trainingGroups {
 	var groups trainingGroups
 	for i := 1; i+HorizonSteps < len(snaps); i++ {
 		prev, cur := snaps[i-1], snaps[i]
@@ -38,5 +39,5 @@ func (m *Model) fitHorizon(snaps []Snapshot, opts LearnerOptions) {
 		compAvg := compSum / HorizonSteps
 		groups.add(transition(prev.Mode, cur.Mode, snaps[i+1].Mode), prev, cur, snaps[i+HorizonSteps], fanAvg, compAvg)
 	}
-	fitGroups(&groups, opts, 7000, &m.hTemp, &m.hHum)
+	return &groups
 }

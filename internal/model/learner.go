@@ -2,7 +2,10 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"coolair/internal/cooling"
 	"coolair/internal/mlearn"
@@ -137,38 +140,93 @@ func (gs *trainingGroups) add(tr cooling.Transition, prev, cur, target Snapshot,
 	g.humY = append(g.humY, target.InsideAbs.GramsPerKg())
 }
 
-// fitGroups fits every group with at least opts.MinRows rows into the
-// temp and hum tables and returns how many got temperature models. The
-// paper tries linear and least-median-square fits and keeps the better;
-// we cross-validate the same pair. Pod p's fit is seeded
-// opts.Seed+seed+p and the humidity fit opts.Seed+seed+101.
-func fitGroups(gs *trainingGroups, opts LearnerOptions, seed int64, temp *[numTransitions][]mlearn.Regressor, hum *[numTransitions]mlearn.Regressor) (fitted int) {
-	cands := []mlearn.Fitter{
-		mlearn.OLSFitter(1e-6),
-		mlearn.LMSFitter(40, opts.Seed),
-	}
-	for i, g := range gs {
-		if g == nil || len(g.humX) < opts.MinRows {
+// fitJob is one cross-validated fit: a pod's temperature rows or a
+// transition's humidity rows, and the seed of its SelectBest call. The
+// worker that runs the job writes only its reg and err.
+type fitJob struct {
+	X    [][]float64
+	y    []float64
+	seed int64
+	reg  mlearn.Regressor
+	err  error
+}
+
+// fits reports whether g has the rows to be fitted.
+func (g *trainingGroup) fits(opts LearnerOptions) bool {
+	return g != nil && len(g.humX) >= opts.MinRows
+}
+
+// appendJobs appends the fits of every group with at least
+// opts.MinRows rows, in slot order: one per pod, seeded
+// opts.Seed+seed+p, then the humidity fit, seeded opts.Seed+seed+101.
+func (gs *trainingGroups) appendJobs(jobs []fitJob, opts LearnerOptions, seed int64) []fitJob {
+	for _, g := range gs {
+		if !g.fits(opts) {
 			continue
 		}
-		perPod := make([]mlearn.Regressor, len(g.tempX))
-		for p := range perPod {
-			reg, _, err := mlearn.SelectBest(cands, g.tempX[p], g.tempY[p], 4, opts.Seed+seed+int64(p))
-			if err != nil {
+		for p := range g.tempX {
+			jobs = append(jobs, fitJob{X: g.tempX[p], y: g.tempY[p], seed: opts.Seed + seed + int64(p)})
+		}
+		jobs = append(jobs, fitJob{X: g.humX, y: g.humY, seed: opts.Seed + seed + 101})
+	}
+	return jobs
+}
+
+// assemble reads the finished jobs appendJobs planned for gs into the
+// temp and hum tables, in plan order, and returns how many transitions
+// got temperature models (all pods fitted) and the jobs after gs's.
+func (gs *trainingGroups) assemble(jobs []fitJob, opts LearnerOptions, temp *[numTransitions][]mlearn.Regressor, hum *[numTransitions]mlearn.Regressor) (fitted int, rest []fitJob) {
+	for i, g := range gs {
+		if !g.fits(opts) {
+			continue
+		}
+		pods, h := jobs[:len(g.tempX)], jobs[len(g.tempX)]
+		jobs = jobs[len(g.tempX)+1:]
+		perPod := make([]mlearn.Regressor, len(pods))
+		for p, j := range pods {
+			if j.err != nil {
 				perPod = nil
 				break
 			}
-			perPod[p] = reg
+			perPod[p] = j.reg
 		}
 		if perPod != nil {
 			temp[i] = perPod
 			fitted++
 		}
-		if hreg, _, err := mlearn.SelectBest(cands, g.humX, g.humY, 4, opts.Seed+seed+101); err == nil {
-			hum[i] = hreg
+		if h.err == nil {
+			hum[i] = h.reg
 		}
 	}
-	return fitted
+	return fitted, jobs
+}
+
+// runFits runs every job on up to GOMAXPROCS workers. The paper tries
+// linear and least-median-square fits and keeps the better; each job
+// cross-validates the same pair. A job's result depends only on its
+// rows and seed, and each lands in the job's own slot, so the fitted
+// models do not depend on how the jobs were scheduled.
+func runFits(jobs []fitJob, opts LearnerOptions) {
+	cands := []mlearn.Fitter{
+		mlearn.OLSFitter(1e-6),
+		mlearn.LMSFitter(40, opts.Seed),
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			j := &jobs[i]
+			j.reg, _, j.err = mlearn.SelectBest(cands, j.X, j.y, 4, j.seed)
+		}
+	}
+	// One closure for every worker keeps the allocation count of a fit
+	// independent of GOMAXPROCS.
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go work()
+	}
+	wg.Wait()
 }
 
 // Fit learns the Cooling Model from the logged campaign. It requires at
@@ -193,9 +251,16 @@ func Fit(l *Logger, opts LearnerOptions) (*Model, error) {
 			powY[next.Mode] = append(powY[next.Mode], float64(next.CoolingPower))
 		}
 	}
-	if fitGroups(&groups, opts, 0, &m.temp, &m.hum) == 0 {
+	// The chained and the horizon fits share one pool.
+	hGroups := horizonGroups(snaps)
+	jobs := groups.appendJobs(nil, opts, 0)
+	jobs = hGroups.appendJobs(jobs, opts, 7000)
+	runFits(jobs, opts)
+	fitted, jobs := groups.assemble(jobs, opts, &m.temp, &m.hum)
+	if fitted == 0 {
 		return nil, fmt.Errorf("model: no transition had %d+ rows", opts.MinRows)
 	}
+	hGroups.assemble(jobs, opts, &m.hTemp, &m.hHum)
 
 	// Power model: piecewise-linear in speed (the paper uses M5P for
 	// the cubic fan law).
@@ -209,7 +274,6 @@ func Fit(l *Logger, opts LearnerOptions) (*Model, error) {
 		}
 	}
 
-	m.fitHorizon(snaps, opts)
 	m.recircRank = rankByRecirc(snaps, l.pods)
 	return m, nil
 }
